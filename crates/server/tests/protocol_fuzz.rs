@@ -77,6 +77,77 @@ fn arb_rows() -> impl Strategy<Value = RowsReply> {
         })
 }
 
+/// Strictly ascending row sets, the shape every server reply has:
+/// empty, single, fully dense, sparse, and bases near `u64::MAX`.
+/// Gaps are `1 + seed % max_gap`, so `max_gap == 1` is every row.
+fn arb_ascending_rows() -> impl Strategy<Value = Vec<u64>> {
+    (
+        prop::sample::select(vec![
+            0u64,
+            1,
+            63,
+            1_000_003,
+            u64::MAX - 70_000,
+            u64::MAX - 300,
+            u64::MAX,
+        ]),
+        prop::sample::select(vec![1u64, 2, 3, 7, 64, 100_000]),
+        prop::collection::vec(any::<u64>(), 0..600),
+    )
+        .prop_map(|(base, max_gap, seeds)| {
+            let mut rows = Vec::with_capacity(seeds.len());
+            let mut next = Some(base);
+            for seed in seeds {
+                let Some(row) = next else { break };
+                rows.push(row);
+                next = row.checked_add(1 + seed % max_gap);
+            }
+            rows
+        })
+}
+
+fn arb_ascending_reply() -> impl Strategy<Value = RowsReply> {
+    (0u64..100, 0u64..100, arb_ascending_rows()).prop_map(|(scans, decompressions, rows)| {
+        RowsReply {
+            scans,
+            decompressions,
+            rows,
+        }
+    })
+}
+
+/// A reply dense enough that the encoder must pick the bitmap tag.
+fn arb_dense_reply() -> impl Strategy<Value = RowsReply> {
+    (0u64..u64::MAX / 2, prop::collection::vec(1u64..4, 8..300)).prop_map(|(base, gaps)| {
+        RowsReply {
+            scans: 1,
+            decompressions: 0,
+            rows: gaps
+                .iter()
+                .scan(base, |row, gap| {
+                    *row += gap;
+                    Some(*row)
+                })
+                .collect(),
+        }
+    })
+}
+
+/// Batch and degraded replies mixing bitmap-tagged and list-tagged
+/// entries in one frame.
+fn arb_mixed_replies() -> impl Strategy<Value = Vec<RowsReply>> {
+    prop::collection::vec(prop_oneof![arb_ascending_reply(), arb_rows()], 0..5)
+}
+
+/// The frame bytes of one `Rows` reply.
+fn rows_frame(reply: RowsReply) -> Vec<u8> {
+    encode_frame(&Frame::new(31, Message::Response(Response::Rows(reply))))
+}
+
+/// Byte offset of a v1 `Rows` frame's row-payload tag: header, then
+/// scans, decompressions and count.
+const ROWS_TAG_AT: usize = HEADER_LEN + 24;
+
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::Pong),
@@ -160,6 +231,74 @@ proptest! {
         let bytes = encode_frame(&frame);
         let (got, _) = decode_frame(&bytes).expect("round trip");
         prop_assert_eq!(got, frame);
+    }
+
+    #[test]
+    fn ascending_rows_round_trip_bit_for_bit(
+        reply in arb_ascending_reply(),
+        batch in arb_mixed_replies(),
+        missing in prop::collection::vec(any::<u16>(), 0..4),
+        id in any::<u64>(),
+    ) {
+        let frames = [
+            Response::Rows(reply),
+            Response::BatchRows(batch.clone()),
+            Response::Degraded { missing_shards: missing, replies: batch },
+        ];
+        for resp in frames {
+            let frame = Frame::new(id, Message::Response(resp));
+            let bytes = encode_frame(&frame);
+            let (got, used) = decode_frame(&bytes).expect("round trip");
+            prop_assert_eq!(used, bytes.len());
+            prop_assert_eq!(got, frame);
+        }
+    }
+
+    // The row section (after the one-byte tag) is never larger than the
+    // list layout's 8 bytes per row.
+    #[test]
+    fn encoded_rows_never_exceed_the_list_layout(reply in arb_ascending_reply()) {
+        let n = reply.rows.len();
+        let bytes = rows_frame(reply);
+        let row_section = bytes.len() - (ROWS_TAG_AT + 1 + 4);
+        prop_assert!(row_section <= 8 * n, "{} bytes for {} rows", row_section, n);
+    }
+
+    #[test]
+    fn bitmap_frame_bit_flips_are_typed_errors(
+        reply in arb_dense_reply(),
+        pos_seed in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let bytes = rows_frame(reply);
+        prop_assert_eq!(bytes[ROWS_TAG_AT], 1, "dense rows must take the bitmap tag");
+        // Any flip in the payload or its CRC trailer is caught.
+        let span = (bytes.len() - HEADER_LEN) as u64;
+        let pos = HEADER_LEN + (pos_seed % span) as usize;
+        let mut corrupt = bytes.clone();
+        corrupt[pos] ^= 1 << bit;
+        prop_assert!(decode_frame(&corrupt).is_err(), "flip at {}.{}", pos, bit);
+        // A flip the CRC cannot see (re-checksummed) still decodes to a
+        // typed error or to strictly ascending rows — never a panic.
+        let end = bytes.len() - 4;
+        let mut forged = bytes.clone();
+        forged[pos.min(end - 1)] ^= 1 << bit;
+        let crc = bix_storage::crc32(&forged[HEADER_LEN..end]);
+        forged[end..].copy_from_slice(&crc.to_le_bytes());
+        if let Ok((frame, _)) = decode_frame(&forged) {
+            if let Message::Response(Response::Rows(r)) = frame.msg {
+                prop_assert!(r.rows.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+    }
+
+    #[test]
+    fn every_bitmap_frame_truncation_is_an_error(reply in arb_dense_reply()) {
+        let bytes = rows_frame(reply);
+        prop_assert_eq!(bytes[ROWS_TAG_AT], 1);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_frame(&bytes[..cut]).is_err(), "cut {}", cut);
+        }
     }
 
     #[test]

@@ -1,15 +1,21 @@
 //! Vendored CRC-32 (IEEE 802.3, polynomial `0xEDB88320`).
 //!
 //! The durability layer checksums every stored bitmap and the persisted
-//! index header. The build environment has no crates.io access, so the
-//! classic byte-at-a-time table implementation is vendored here; it is
-//! bit-for-bit compatible with zlib's `crc32()` (and therefore with the
-//! `crc32fast` crate), which keeps the `BIXIDX2` file format portable.
+//! index header, and the wire protocol checksums every frame. The build
+//! environment has no crates.io access, so a slicing-by-8 table
+//! implementation is vendored here: eight const-generated 256-entry
+//! tables let [`Crc32::update`] fold eight input bytes per step with
+//! eight independent lookups, and the classic byte-at-a-time loop
+//! finishes the tail. The output is bit-for-bit compatible with zlib's
+//! `crc32()` (and therefore with the `crc32fast` crate), which keeps the
+//! `BIXIDX2` file format portable.
 
-/// The 256-entry lookup table for polynomial `0xEDB88320`, generated at
-/// compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables for polynomial `0xEDB88320`, generated at
+/// compile time. `TABLES[0]` is the classic byte-at-a-time table;
+/// `TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -22,10 +28,20 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Streaming CRC-32 hasher.
@@ -55,9 +71,23 @@ impl Crc32 {
 
     /// Feeds `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &TABLES;
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
         }
         self.state = crc;
     }
@@ -79,6 +109,38 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    /// The reference: the textbook CRC-32, one byte at a time with each
+    /// byte's eight bit steps computed directly, so it shares no table
+    /// with the kernel under test.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// Deterministic pseudo-random bytes (splitmix64).
+    fn random_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn standard_check_value() {
         // Every CRC-32/IEEE implementation must produce 0xCBF43926 for
@@ -89,6 +151,41 @@ mod tests {
     #[test]
     fn empty_input() {
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn every_length_at_every_offset_matches_the_reference() {
+        // Lengths 0..=67 cover empty, pure-tail, one and several 8-byte
+        // blocks with every tail length; offsets 0..8 cover every
+        // alignment of the block loop's loads.
+        let buf = random_bytes(7, 8 + 67);
+        for offset in 0..8 {
+            for len in 0..=67 {
+                let s = &buf[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_buffers_match_the_reference() {
+        for seed in 0..32u64 {
+            let len = (seed as usize * 997) % 5000;
+            let buf = random_bytes(seed, len);
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "seed {seed} len {len}");
+        }
+    }
+
+    #[test]
+    fn streamed_update_split_at_every_offset_matches_one_shot() {
+        let data = random_bytes(11, 131);
+        let want = crc32_bytewise(&data);
+        for split in 0..=data.len() {
+            let mut h = Crc32::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize(), want, "split at {split}");
+        }
     }
 
     #[test]
