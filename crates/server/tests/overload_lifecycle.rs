@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use bix_core::{BitmapIndex, CodecKind, EncodingScheme, EvalDomain, IndexConfig};
-use bix_server::{Client, ErrorCode, Server, ServerConfig};
+use bix_server::{Client, ErrorCode, Server, ServerConfig, MAX_BATCH, MAX_REPLY_ROWS};
 
 fn build_index(shift: u64) -> BitmapIndex {
     let column: Vec<u64> = (0..30_000u64)
@@ -146,6 +146,36 @@ fn oversized_reply_is_a_typed_error_not_a_dead_worker() {
         .query("=7", EvalDomain::Auto, 0)
         .expect("worker survived");
     assert!(!reply.rows.is_empty());
+    server.shutdown();
+}
+
+#[test]
+fn sparse_batch_past_the_byte_cap_is_a_typed_error_not_a_dead_worker() {
+    // Value v sits on every 64th row of 131,008, so each `=v` matches
+    // 2047 rows spread over 2047 words: too sparse for the bitmap
+    // window, so every reply stays a list. 4096 of them hold fewer rows
+    // than MAX_REPLY_ROWS, yet their ids and per-reply headers pass
+    // MAX_PAYLOAD. The server must refuse with a typed error.
+    let column: Vec<u64> = (0..131_008u64).map(|i| i % 64).collect();
+    let config =
+        IndexConfig::one_component(64, EncodingScheme::Equality).with_codec(CodecKind::Bbc);
+    let index = BitmapIndex::build(&column, &config);
+    let server = Server::start(index, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    let sparse: Vec<String> = (0..MAX_BATCH as u64)
+        .map(|i| format!("={}", i % 64))
+        .collect();
+    assert!(2047 * sparse.len() as u64 <= MAX_REPLY_ROWS);
+    let err = client
+        .batch(&sparse, EvalDomain::Auto, 0)
+        .expect_err("reply cannot fit a frame");
+    assert!(err.is_code(ErrorCode::Internal), "want Internal, got {err}");
+
+    let reply = client
+        .query("=7", EvalDomain::Auto, 0)
+        .expect("worker survived");
+    assert_eq!(reply.rows.len(), 2047);
     server.shutdown();
 }
 
