@@ -130,14 +130,20 @@ fn write_results_json(index: &mut BitmapIndex, queries: &[Query]) {
         let shared: &BitmapIndex = index;
         let pool = ShardedBufferPool::new(POOL_PAGES, 4);
         results::trace_run(|tracer| {
-            black_box(ParallelExecutor::new(4).execute_traced(
-                shared,
-                queries,
-                &pool,
-                &CostModel::default(),
-                tracer,
-                None,
-            ));
+            black_box(
+                ParallelExecutor::new(4)
+                    .execute_full_delta(
+                        shared,
+                        None,
+                        queries,
+                        &pool,
+                        &CostModel::default(),
+                        tracer,
+                        None,
+                        None,
+                    )
+                    .expect("no deadline"),
+            );
         })
     };
 

@@ -13,7 +13,8 @@
 
 use bix_bench::results;
 use bix_core::{
-    BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalStrategy, IndexConfig, Query,
+    BitmapIndex, BufferPool, CodecKind, CostModel, EncodingScheme, EvalDomain, EvalStrategy,
+    IndexConfig, Query,
 };
 use bix_workload::{DatasetSpec, QuerySetSpec};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -101,9 +102,15 @@ fn write_results_json(query: &Query, cost: &CostModel) {
             let records = results::trace_run(|tracer| {
                 let mut pool = BufferPool::new(pool_pages);
                 index.reset_stats();
-                black_box(
-                    index.evaluate_detailed_traced(query, &mut pool, strategy, cost, tracer, None),
-                );
+                black_box(index.evaluate_detailed_with_domain(
+                    query,
+                    &mut pool,
+                    strategy,
+                    EvalDomain::default(),
+                    cost,
+                    tracer,
+                    None,
+                ));
             });
             rows.push(format!(
                 "    {{\"scheme\": \"{}\", \"strategy\": \"{label}\", \"pool_pages\": \

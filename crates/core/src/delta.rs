@@ -218,21 +218,7 @@ impl DeltaIndex {
     /// Runs the same §6 rewrite as the main index (shared
     /// [`IndexConfig`] ⇒ identical expression), folded in memory.
     pub fn evaluate_query(&self, q: &Query) -> (Bitvec, usize) {
-        let c = self.config.cardinality;
-        let constituents: Vec<Expr> = match q {
-            Query::Membership(values) => crate::minimal_intervals(values)
-                .into_iter()
-                .map(|(lo, hi)| {
-                    crate::rewrite_interval(lo, hi, c, &self.config.bases, self.config.encoding)
-                })
-                .collect(),
-            other => vec![crate::rewrite_query(
-                other,
-                c,
-                &self.config.bases,
-                self.config.encoding,
-            )],
-        };
+        let constituents = self.config.rewrite_constituents(q);
         let merged = Expr::or(constituents);
         let scans = merged.scan_count();
         let mut fetch = |r: crate::BitmapRef| self.tail(r.component, r.slot);

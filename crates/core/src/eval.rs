@@ -12,18 +12,23 @@
 //!   single intermediate result. Minimal buffer requirement, but bitmaps
 //!   shared between constituents may be re-read if evicted.
 
+use crate::parallel::fold_dag;
 use crate::{BitmapRef, Expr};
 use bix_bitvec::Bitvec;
 use bix_compress::{BitOp, CodecKind, CompressedBitmap};
-use bix_storage::{BitmapHandle, BitmapStore, BufferPool, CostModel, IoStats};
+use bix_storage::{BitmapHandle, BitmapStore, BufferPool, CostModel, IoStats, ReadContext};
 use bix_telemetry::{SpanId, Tracer};
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Which evaluation strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvalStrategy {
-    /// Fetch each distinct bitmap once, ordered by component (§6.3).
+    /// Fetch each distinct bitmap once, ordered by component (§6.3),
+    /// then fold the hash-consed expression DAG over the fetched leaves
+    /// with the one DAG fold [`crate::ParallelExecutor`] also runs, here
+    /// at a single worker.
     #[default]
     ComponentWise,
     /// Evaluate one constituent at a time with one intermediate result.
@@ -39,8 +44,12 @@ pub enum EvalStrategy {
     /// per-constituent intermediate results and freeing them before the
     /// next component — so working memory stays bounded by the §6.3
     /// formula (`n1 + 2·n2` intermediates plus one component's bitmaps)
-    /// instead of holding every distinct bitmap like
-    /// [`EvalStrategy::ComponentWise`]. [`EvalResult::peak_resident`]
+    /// instead of prefetching every distinct bitmap like
+    /// [`EvalStrategy::ComponentWise`]. It walks the same hash-consed DAG
+    /// as the shared fold but keeps its own phase-ordered loop over
+    /// decoded bitmaps: the memory bound needs each leaf loaded only
+    /// during its component's phase, which the shared fold's
+    /// prefetch-then-fold order does not give. [`EvalResult::peak_resident`]
     /// reports the measured footprint.
     ComponentStreaming,
 }
@@ -144,11 +153,11 @@ pub const DECODE_REUSE: f64 = 3.0;
 /// in each domain. Folding a packed value costs about
 /// `kernel_ns_per_stored_byte × stored` per op; going raw costs a decode
 /// (the density-matched [`DomainCosts::decode_slope`] × raw, amortized
-/// over [`DECODE_REUSE`] future ops), plus `word_ns_per_byte × raw` for
+/// over `DECODE_REUSE` future ops), plus `word_ns_per_byte × raw` for
 /// the word-wise op, plus — the term that makes the choice honest — a
 /// full decode of the packed operand the next op would otherwise have
-/// kernel-folded: once a value is raw, [`NodeVal::combine`] must decode
-/// every compressed operand it meets. The value stays packed when
+/// kernel-folded: once a value is raw, every combine must decode each
+/// compressed operand it meets. The value stays packed when
 ///
 /// ```text
 /// kernel_ns × stored  ≤  (decode_ns / DECODE_REUSE + word_ns) × raw
@@ -157,7 +166,7 @@ pub const DECODE_REUSE: f64 = 3.0;
 ///
 /// The same inequality governs leaf admission (`reads_compressed`,
 /// operand priced self-like) and intermediate-result demotion
-/// (`NodeVal::combine`/`not`, operand priced from the op actually
+/// (after every compressed-domain op, operand priced from the op actually
 /// performed), replacing the two ad-hoc size-ratio thresholds that
 /// previously disagreed with each other — and that demoted every dense
 /// stream even when its kernel was cheaper than a decode. The operand
@@ -254,12 +263,12 @@ impl DomainCostModel {
     ///
     /// Unlike [`DomainCostModel::raw_op_ns`] (the true one-op price used
     /// for prediction), the value's own decode is divided by
-    /// [`DECODE_REUSE`]: demoting once makes every later op on the value
+    /// `DECODE_REUSE`: demoting once makes every later op on the value
     /// word-cheap, and charging the whole decode against a single op
     /// would pin dense streams packed through folds deep enough to repay
     /// the decode many times over. The demote side also carries a full
     /// *sibling* decode: a raw value forces every packed operand it later
-    /// combines with through [`NodeVal::into_raw`], a per-op cost a
+    /// combines with through a decode, a per-op cost a
     /// packed kernel would have avoided entirely. At admission time the
     /// sibling is unknown, so it is priced self-like (same codec, same
     /// density regime) — the other leaves of the same query.
@@ -268,8 +277,8 @@ impl DomainCostModel {
     }
 
     /// The *demotion* rule for [`EvalDomain::Auto`], applied to the
-    /// result of every compressed-domain op ([`NodeVal::combine`] /
-    /// [`NodeVal::not`]). Same inequality as
+    /// result of every compressed-domain op (binary combine or
+    /// complement). Same inequality as
     /// [`DomainCostModel::prefer_packed`], but the forced-decode term
     /// prices the op's *actual* operand (`None` when the operand arrived
     /// raw, so demotion forces no decode and gets cheaper).
@@ -666,73 +675,20 @@ impl EvalResult {
     }
 }
 
-/// Evaluates constituent expressions against stored bitmaps.
+/// Evaluates constituent expressions against stored bitmaps: the
+/// sequential evaluator behind [`crate::BitmapIndex::evaluate_detailed_with_domain`].
 ///
 /// `handles` maps a [`BitmapRef`] to its stored bitmap; `rows` is the
 /// relation cardinality. Constituents are OR-ed together (a membership
-/// query is a disjunction of its interval constituents); pass a single
-/// constituent for a plain interval query.
-pub fn evaluate(
-    constituents: &[Expr],
-    rows: usize,
-    handles: &dyn Fn(BitmapRef) -> BitmapHandle,
-    store: &mut BitmapStore,
-    pool: &mut BufferPool,
-    strategy: EvalStrategy,
-    cost: &CostModel,
-) -> EvalResult {
-    evaluate_traced(
-        constituents,
-        rows,
-        handles,
-        store,
-        pool,
-        strategy,
-        cost,
-        &Tracer::disabled(),
-        None,
-    )
-}
-
-/// [`evaluate`] with span tracing: opens an `eval` span under `parent`
-/// with `fetch` / `fold` / `stream` / `constituent` children and
-/// per-bitmap `read` spans. A disabled tracer makes this identical to
-/// [`evaluate`].
+/// query is a disjunction of its interval constituents). `domain` and
+/// `model` steer the [`EvalStrategy::ComponentWise`] DAG fold; the
+/// query-wise and streaming strategies always fold raw bitmaps (their
+/// per-constituent structure re-reads shared bitmaps, so stream-level
+/// ops buy nothing). Opens an `eval` span under `parent` with `fetch` /
+/// `fold` / `stream` / `constituent` children and per-bitmap `read`
+/// spans; a disabled tracer records nothing.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_traced(
-    constituents: &[Expr],
-    rows: usize,
-    handles: &dyn Fn(BitmapRef) -> BitmapHandle,
-    store: &mut BitmapStore,
-    pool: &mut BufferPool,
-    strategy: EvalStrategy,
-    cost: &CostModel,
-    tracer: &Tracer,
-    parent: Option<SpanId>,
-) -> EvalResult {
-    evaluate_domain_traced(
-        constituents,
-        rows,
-        handles,
-        store,
-        pool,
-        strategy,
-        EvalDomain::default(),
-        &DomainCostModel::DEFAULT,
-        cost,
-        tracer,
-        parent,
-    )
-}
-
-/// [`evaluate_traced`] with an explicit [`EvalDomain`] and the
-/// [`DomainCostModel`] that prices [`EvalDomain::Auto`]'s per-node
-/// packed-vs-raw choice. The domain applies to the
-/// [`EvalStrategy::ComponentWise`] DAG fold; the query-wise and
-/// streaming strategies always fold raw bitmaps (their per-constituent
-/// structure re-reads shared bitmaps, so stream-level ops buy nothing).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_domain_traced(
+pub(crate) fn evaluate(
     constituents: &[Expr],
     rows: usize,
     handles: &dyn Fn(BitmapRef) -> BitmapHandle,
@@ -810,19 +766,26 @@ pub fn evaluate_domain_traced(
             fetch_span.finish();
             peak_resident = cache.len() + 1;
             let fold_span = tracer.span("fold", eval_id);
-            let result = fold_cache(
-                &merged,
+            let cache = Mutex::new(cache);
+            let leaf = |r: BitmapRef, _: &mut ReadContext, _: &mut usize| {
+                let mut cache = cache.lock().expect("leaf cache");
+                cache.remove(&r).expect("leaf fetched")
+            };
+            let fold = fold_dag(
+                &Dag::build(&merged),
                 rows,
-                cache,
+                &leaf,
+                1,
                 domain,
                 model,
-                &mut decompressions,
-                &mut node_mix,
                 tracer,
                 fold_span.id(),
+                None,
             );
             fold_span.finish();
-            result
+            decompressions += fold.decompressions;
+            node_mix = (fold.nodes_raw, fold.nodes_compressed);
+            fold.bitmap
         }
         EvalStrategy::QueryWise | EvalStrategy::QueryWiseScheduled => {
             // One constituent at a time; each constituent re-fetches its
@@ -888,17 +851,18 @@ pub fn evaluate_domain_traced(
     }
 }
 
-/// Folds the hash-consed DAG of `merged` over the fetched leaf values,
-/// combining compressed streams in the compressed domain and decoding
-/// (once, at the root, in the best case) where the domain or codec
-/// requires. Emits a per-node span recording which representation each
-/// node's value ended up in.
-#[allow(clippy::too_many_arguments)]
-/// Model-predicted nanoseconds for one pairwise combine — the number
-/// `bix explain` puts next to each node's measured time. Same-codec
-/// packed pairs are priced as one kernel pass over the larger stream;
-/// anything else decodes its packed operands and folds word-wise.
-fn predict_combine_ns(lhs: &NodeVal, rhs: &NodeVal, model: &DomainCostModel) -> f64 {
+/// Model-predicted nanoseconds for one node op — the number `bix
+/// explain` puts next to each node's measured time. `rhs` is `None` for
+/// a complement, priced as one pass over the operand in its own domain.
+/// Same-codec packed pairs are priced as one kernel pass over the larger
+/// stream; anything else decodes its packed operands and folds word-wise.
+pub(crate) fn predict_ns(lhs: &NodeVal, rhs: Option<&NodeVal>, model: &DomainCostModel) -> f64 {
+    let Some(rhs) = rhs else {
+        return match lhs {
+            NodeVal::Packed(p, _) => model.packed_op_ns(p.kind(), p.stored_size()),
+            NodeVal::Raw(bv) => model.word_ns_per_byte * bv.byte_size() as f64,
+        };
+    };
     match (lhs, rhs) {
         (NodeVal::Packed(a, _), NodeVal::Packed(b, _)) if a.kind() == b.kind() => {
             model.packed_op_ns(a.kind(), a.stored_size().max(b.stored_size()))
@@ -917,99 +881,6 @@ fn predict_combine_ns(lhs: &NodeVal, rhs: &NodeVal, model: &DomainCostModel) -> 
             decode(lhs) + decode(rhs) + model.word_ns_per_byte * raw_bytes as f64
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fold_cache(
-    merged: &Expr,
-    rows: usize,
-    mut cache: BTreeMap<BitmapRef, NodeVal>,
-    domain: EvalDomain,
-    model: &DomainCostModel,
-    decompressions: &mut usize,
-    node_mix: &mut (usize, usize),
-    tracer: &Tracer,
-    parent: Option<SpanId>,
-) -> Bitvec {
-    let dag = Dag::build(merged);
-    let mut values: Vec<Option<NodeVal>> = Vec::with_capacity(dag.ops.len());
-    let child = |values: &[Option<NodeVal>], c: usize| -> NodeVal {
-        values[c].clone().expect("child computed")
-    };
-    for (i, op) in dag.ops.iter().enumerate() {
-        // Open the node span before doing the work so its duration is
-        // the measured per-node cost `bix explain` compares against the
-        // model's prediction.
-        let node_span = if tracer.is_enabled() {
-            let kind = match op {
-                NodeOp::Const(_) => "const",
-                NodeOp::Leaf(_) => "leaf",
-                NodeOp::Not(_) => "not",
-                NodeOp::And(_) => "and",
-                NodeOp::Or(_) => "or",
-                NodeOp::Xor(..) => "xor",
-            };
-            Some(tracer.span(&format!("node {i} {kind}"), parent))
-        } else {
-            None
-        };
-        // Sum of model predictions for the work this node performs
-        // (tracing only; stays 0.0 on the untraced hot path).
-        let mut predicted_ns = 0.0f64;
-        let value = match op {
-            NodeOp::Const(true) => NodeVal::Raw(Bitvec::ones_vec(rows)),
-            NodeOp::Const(false) => NodeVal::Raw(Bitvec::zeros(rows)),
-            NodeOp::Leaf(r) => cache.remove(r).expect("leaf fetched"),
-            NodeOp::Not(c) => {
-                let operand = values[*c].as_ref().expect("child computed");
-                if tracer.is_enabled() {
-                    predicted_ns = match operand {
-                        NodeVal::Packed(p, _) => model.packed_op_ns(p.kind(), p.stored_size()),
-                        NodeVal::Raw(bv) => model.word_ns_per_byte * bv.byte_size() as f64,
-                    };
-                }
-                operand.not(domain, model, decompressions)
-            }
-            NodeOp::And(cs) | NodeOp::Or(cs) => {
-                let bit_op = if matches!(op, NodeOp::And(_)) {
-                    BitOp::And
-                } else {
-                    BitOp::Or
-                };
-                let mut acc = child(&values, cs[0]);
-                for &c in &cs[1..] {
-                    let rhs = values[c].as_ref().expect("child computed");
-                    if tracer.is_enabled() {
-                        predicted_ns += predict_combine_ns(&acc, rhs, model);
-                    }
-                    acc = acc.combine(rhs, bit_op, domain, model, decompressions);
-                }
-                acc
-            }
-            NodeOp::Xor(a, b) => {
-                let lhs = child(&values, *a);
-                let rhs = values[*b].as_ref().expect("child computed");
-                if tracer.is_enabled() {
-                    predicted_ns = predict_combine_ns(&lhs, rhs, model);
-                }
-                lhs.combine(rhs, BitOp::Xor, domain, model, decompressions)
-            }
-        };
-        match &value {
-            NodeVal::Raw(_) => node_mix.0 += 1,
-            NodeVal::Packed(..) => node_mix.1 += 1,
-        }
-        if let Some(span) = &node_span {
-            span.attr("domain", value.domain_name());
-            span.attr("predicted_ns", predicted_ns.round() as u64);
-        }
-        drop(node_span);
-        values.push(Some(value));
-    }
-    values[dag.root]
-        .take()
-        .expect("root computed")
-        .into_raw(decompressions)
 }
 
 /// One operation of the hash-consed expression DAG (children are node
@@ -1043,8 +914,8 @@ impl NodeOp {
 }
 
 /// The hash-consed form of a merged query expression, shared by the
-/// streaming evaluator below and the parallel DAG evaluator
-/// (`crate::parallel`). Nodes are unique (identical subexpressions intern
+/// streaming evaluator below and the one DAG fold
+/// (`crate::parallel::fold_dag`). Nodes are unique (identical subexpressions intern
 /// to one node, so each distinct bitmap has exactly one `Leaf`) and stored
 /// in topological postorder: every child index precedes its parents.
 pub(crate) struct Dag {
@@ -1253,6 +1124,31 @@ mod tests {
         assert!(!m.prefer_packed(CodecKind::Ewah, 1 << 30, 8));
     }
 
+    /// [`evaluate`] in the default domain, untraced.
+    fn run(
+        constituents: &[Expr],
+        rows: usize,
+        handles: &dyn Fn(BitmapRef) -> BitmapHandle,
+        store: &mut BitmapStore,
+        pool: &mut BufferPool,
+        strategy: EvalStrategy,
+        cost: &CostModel,
+    ) -> EvalResult {
+        evaluate(
+            constituents,
+            rows,
+            handles,
+            store,
+            pool,
+            strategy,
+            EvalDomain::default(),
+            &DomainCostModel::DEFAULT,
+            cost,
+            &Tracer::disabled(),
+            None,
+        )
+    }
+
     /// A toy store with 4 bitmaps over 100 rows.
     fn setup() -> (BitmapStore, Vec<BitmapHandle>, Vec<Bitvec>) {
         let mut store = BitmapStore::new(DiskConfig { page_size: 64 });
@@ -1280,7 +1176,7 @@ mod tests {
             Expr::and([Expr::leaf(0, 0), Expr::leaf(0, 1)]),
             Expr::and([Expr::leaf(0, 0), Expr::not(Expr::leaf(0, 1))]),
         ]);
-        let result = evaluate(
+        let result = run(
             &[e],
             100,
             &|r| handles[r.slot],
@@ -1304,7 +1200,7 @@ mod tests {
             Expr::and([Expr::leaf(0, 0), Expr::leaf(0, 1)]),
             Expr::and([Expr::leaf(0, 0), Expr::leaf(0, 2)]),
         ];
-        let result = evaluate(
+        let result = run(
             &constituents,
             100,
             &|r| handles[r.slot],
@@ -1382,7 +1278,7 @@ mod tests {
             let mut pool = BufferPool::new(64);
             store.reset_stats();
             results.push(
-                evaluate(
+                run(
                     &constituents,
                     100,
                     &|r| handles[r.slot],
@@ -1402,7 +1298,7 @@ mod tests {
         let (mut store, handles, _) = setup();
         for strategy in [EvalStrategy::ComponentWise, EvalStrategy::QueryWise] {
             let mut pool = BufferPool::new(8);
-            let result = evaluate(
+            let result = run(
                 &[],
                 100,
                 &|r| handles[r.slot],
@@ -1421,7 +1317,7 @@ mod tests {
         let (mut store, handles, _) = setup();
         let mut pool = BufferPool::new(64);
         let e = vec![Expr::leaf(0, 0)];
-        let cold = evaluate(
+        let cold = run(
             &e,
             100,
             &|r| handles[r.slot],
@@ -1430,7 +1326,7 @@ mod tests {
             EvalStrategy::ComponentWise,
             &CostModel::default(),
         );
-        let warm = evaluate(
+        let warm = run(
             &e,
             100,
             &|r| handles[r.slot],

@@ -83,6 +83,20 @@ impl IndexConfig {
     pub fn num_bitmaps(&self) -> usize {
         self.bases.num_bitmaps(self.encoding)
     }
+
+    /// Rewrites a query into one expression per constituent interval —
+    /// the §6 rewrite a main index and its delta share, so both fold
+    /// identical expressions.
+    pub(crate) fn rewrite_constituents(&self, q: &Query) -> Vec<Expr> {
+        let c = self.cardinality;
+        match q {
+            Query::Membership(values) => crate::minimal_intervals(values)
+                .into_iter()
+                .map(|(lo, hi)| crate::rewrite_interval(lo, hi, c, &self.bases, self.encoding))
+                .collect(),
+            other => vec![crate::rewrite_query(other, c, &self.bases, self.encoding)],
+        }
+    }
 }
 
 /// A multi-component bitmap index over one attribute.
@@ -365,21 +379,7 @@ impl BitmapIndex {
     /// Rewrites a query into one expression per constituent interval (the
     /// unit the query-wise strategy works over).
     pub fn rewrite_constituents(&self, q: &Query) -> Vec<Expr> {
-        let c = self.config.cardinality;
-        match q {
-            Query::Membership(values) => crate::minimal_intervals(values)
-                .into_iter()
-                .map(|(lo, hi)| {
-                    crate::rewrite_interval(lo, hi, c, &self.config.bases, self.config.encoding)
-                })
-                .collect(),
-            other => vec![crate::rewrite_query(
-                other,
-                c,
-                &self.config.bases,
-                self.config.encoding,
-            )],
-        }
+        self.config.rewrite_constituents(q)
     }
 
     /// [`BitmapIndex::rewrite_constituents`] with span tracing: opens a
@@ -493,38 +493,25 @@ impl BitmapIndex {
         strategy: EvalStrategy,
         cost: &CostModel,
     ) -> EvalResult {
-        self.evaluate_detailed_traced(q, pool, strategy, cost, &Tracer::disabled(), None)
-    }
-
-    /// [`BitmapIndex::evaluate_detailed`] with span tracing: records the
-    /// `rewrite` (with per-constituent `decompose` children), `eval`
-    /// (with `fetch`/`fold` or per-constituent children and per-bitmap
-    /// `read` spans), and — for nullable indexes — `existence` phases
-    /// under `parent`. A disabled tracer makes this identical to
-    /// [`BitmapIndex::evaluate_detailed`].
-    pub fn evaluate_detailed_traced(
-        &mut self,
-        q: &Query,
-        pool: &mut BufferPool,
-        strategy: EvalStrategy,
-        cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> EvalResult {
         self.evaluate_detailed_with_domain(
             q,
             pool,
             strategy,
             crate::EvalDomain::default(),
             cost,
-            tracer,
-            parent,
+            &Tracer::disabled(),
+            None,
         )
     }
 
-    /// [`BitmapIndex::evaluate_detailed_traced`] with an explicit
+    /// [`BitmapIndex::evaluate_detailed`] with every option: an explicit
     /// [`crate::EvalDomain`] controlling whether the §6.3 DAG fold runs on
-    /// compressed streams or decoded bitmaps (`bix query --eval-domain`).
+    /// compressed streams or decoded bitmaps (`bix query --eval-domain`),
+    /// and span tracing. The tracer records the `rewrite` (with
+    /// per-constituent `decompose` children), `eval` (with `fetch`/`fold`
+    /// or per-constituent children, per-bitmap `read` spans and per-node
+    /// spans) and — for nullable indexes — `existence` phases under
+    /// `parent`; a disabled tracer records nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_detailed_with_domain(
         &mut self,
@@ -540,7 +527,7 @@ impl BitmapIndex {
         let constituents = self.rewrite_constituents_traced(q, tracer, parent);
         let handles = &self.handles;
         let lookup = move |r: crate::BitmapRef| handles[r.component][r.slot];
-        let mut result = eval::evaluate_domain_traced(
+        let mut result = eval::evaluate(
             &constituents,
             self.rows,
             &lookup,

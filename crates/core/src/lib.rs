@@ -63,10 +63,7 @@ pub use decompose::{best_bases, compose, decompose, BaseVector};
 pub use degrade::{Degraded, RepairReport, VerifyReport, EXISTENCE_REF};
 pub use delta::{DeltaIndex, DeltaStats};
 pub use encoding::{AlphaForm, EncodingScheme};
-pub use eval::{
-    evaluate, evaluate_domain_traced, evaluate_traced, DomainCostModel, DomainCosts, EvalDomain,
-    EvalResult, EvalStrategy,
-};
+pub use eval::{DomainCostModel, DomainCosts, EvalDomain, EvalResult, EvalStrategy};
 pub use expr::{BitmapRef, Expr};
 pub use index::{BitmapIndex, CostPrediction, IndexConfig};
 pub use journal::{AppendError, RecoveryAction, RecoveryReport};

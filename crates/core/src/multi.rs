@@ -34,7 +34,8 @@
 
 use crate::plan::{display_query, AttrSchema, Plan, PlanLiteral, TableSchema};
 use crate::{
-    BitmapIndex, BufferPool, CostModel, DeltaIndex, EvalStrategy, IndexConfig, IoStats, Query,
+    BitmapIndex, BufferPool, CostModel, DeltaIndex, EvalResult, EvalStrategy, IndexConfig, IoStats,
+    Query,
 };
 use bix_bitvec::Bitvec;
 use std::fmt;
@@ -389,15 +390,7 @@ impl IndexedTable {
         cost: &CostModel,
     ) -> PlanEvalResult {
         let lits = plan.distinct_literals();
-        let mut bitmaps: Vec<Bitvec> = Vec::with_capacity(lits.len());
-        let mut out = PlanEvalResult {
-            bitmap: Bitvec::zeros(0),
-            scans: 0,
-            io: IoStats::new(),
-            seconds: 0.0,
-            decompressions: 0,
-            literals: lits.len(),
-        };
+        let mut results = Vec::with_capacity(lits.len());
         for lit in &lits {
             let (_, index) = self
                 .attrs
@@ -410,27 +403,52 @@ impl IndexedTable {
             if let Some(delta) = deltas.get(lit.attr).copied().flatten() {
                 delta.overlay(&lit.query, &mut r);
             }
+            results.push(r);
+        }
+        self.fold_plan(plan, &lits, results, deltas)
+    }
+
+    /// The clause fold shared by the sequential and parallel plan
+    /// executors: complements each literal's result where the literal
+    /// says so, ANDs within each clause and ORs across clauses, and sums
+    /// the per-literal counters. `results` line up with `lits`, the
+    /// plan's distinct literals.
+    pub(crate) fn fold_plan(
+        &self,
+        plan: &Plan,
+        lits: &[PlanLiteral],
+        mut results: Vec<EvalResult>,
+        deltas: &[Option<&DeltaIndex>],
+    ) -> PlanEvalResult {
+        let mut out = PlanEvalResult {
+            bitmap: Bitvec::zeros(0),
+            scans: 0,
+            io: IoStats::new(),
+            seconds: 0.0,
+            decompressions: 0,
+            literals: lits.len(),
+        };
+        for (lit, r) in lits.iter().zip(&mut results) {
             out.scans += r.scans;
             out.io += r.io;
             out.seconds += r.total_seconds();
             out.decompressions += r.decompressions;
-            let mut bitmap = r.bitmap;
             if lit.complement {
-                bitmap.not_assign();
+                r.bitmap.not_assign();
             }
-            bitmaps.push(bitmap);
         }
         // Constant plans never touch an index; their length is the base
         // table plus whatever any delta appended.
-        let total_rows = bitmaps.first().map_or_else(
+        let total_rows = results.first().map_or_else(
             || self.rows + deltas.iter().flatten().next().map_or(0, |d| d.rows()),
-            Bitvec::len,
+            |r| r.bitmap.len(),
         );
         let lookup = |lit: &PlanLiteral| -> &Bitvec {
-            &bitmaps[lits
+            &results[lits
                 .iter()
                 .position(|l| l == lit)
                 .expect("literal evaluated")]
+            .bitmap
         };
         let mut acc: Option<Bitvec> = None;
         for clause in &plan.clauses {

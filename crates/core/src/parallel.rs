@@ -1,4 +1,5 @@
-//! Parallel batch query execution.
+//! Parallel batch query execution, and the one DAG fold every
+//! component-wise evaluation runs.
 //!
 //! The paper's evaluator answers one query at a time against a disk whose
 //! head position is part of the simulation state. A warehouse workload
@@ -12,38 +13,44 @@
 //!   constituents); a dependency-counting scheduler folds ready nodes
 //!   concurrently.
 //!
-//! Reads go through [`BitmapStore::read_shared`] (`&self`) and the
-//! lock-striped [`ShardedBufferPool`]; every thread carries its own
-//! [`ReadContext`] (disk head + I/O counters, one simulated disk arm per
-//! thread), merged into the batch totals — and charged back to the store's
-//! global counters — when the batch completes.
+//! That scheduler is the crate's only component-wise DAG fold: the
+//! sequential [`crate::EvalStrategy::ComponentWise`] path prefetches its
+//! leaves through the exclusive buffer pool and runs the same fold at
+//! one worker, so both paths make identical per-node domain choices and
+//! emit the same per-node spans.
+//!
+//! Batch reads go through [`bix_storage::BitmapStore::read_shared`]
+//! (`&self`) and the lock-striped [`ShardedBufferPool`]; every thread
+//! carries its own [`ReadContext`] (disk head + I/O counters, one
+//! simulated disk arm per thread), merged into the batch totals — and
+//! charged back to the store's global counters — when the batch
+//! completes.
 //!
 //! Hash-consing guarantees each distinct bitmap appears as exactly one DAG
 //! leaf and is therefore scanned exactly once per query, so batch-level
-//! scan counts are identical to running [`EvalStrategy::ComponentWise`]
-//! sequentially (seek counts differ: heads are per-thread).
+//! scan counts are identical to running
+//! [`crate::EvalStrategy::ComponentWise`] sequentially (seek counts
+//! differ: heads are per-thread).
 
-use crate::eval::{reads_compressed, Dag, NodeOp, NodeVal};
+use crate::eval::{predict_ns, reads_compressed, Dag, NodeOp, NodeVal};
 use crate::multi::PlanEvalResult;
-use crate::plan::{Plan, PlanLiteral};
-use crate::{BitmapIndex, DeltaIndex, EvalDomain, EvalResult, Expr, IndexedTable, Query};
+use crate::plan::Plan;
+use crate::{
+    BitmapIndex, BitmapRef, DeltaIndex, DomainCostModel, EvalDomain, EvalResult, Expr,
+    IndexedTable, Query,
+};
 use bix_bitvec::Bitvec;
 use bix_compress::{BitOp, CodecKind};
-use bix_storage::{BitmapHandle, CostModel, IoStats, ReadContext, ShardedBufferPool};
+use bix_storage::{CostModel, IoStats, ReadContext, ShardedBufferPool};
 use bix_telemetry::{SpanId, Tracer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-// Referenced by the module docs above.
-#[allow(unused_imports)]
-use crate::EvalStrategy;
-#[allow(unused_imports)]
-use bix_storage::BitmapStore;
-
-/// Returned by [`ParallelExecutor::execute_deadline`] when the deadline
-/// passed before every query in the batch finished. Partial results are
+/// Returned by [`ParallelExecutor::execute_full_delta`] and
+/// [`ParallelExecutor::execute_plan_full`] when the deadline passed
+/// before every query in the batch finished. Partial results are
 /// discarded: a served query is either complete and bit-exact or not
 /// answered at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +67,7 @@ impl std::error::Error for DeadlineExceeded {}
 /// Shared cancellation state for one deadline-bounded batch: the wall
 /// deadline plus a sticky flag so that, once any worker observes expiry,
 /// every other worker short-circuits without re-reading the clock.
-struct Cancel {
+pub(crate) struct Cancel {
     deadline: Instant,
     expired: std::sync::atomic::AtomicBool,
 }
@@ -90,9 +97,11 @@ impl Cancel {
 
 /// Executes batches of selection queries concurrently against one index.
 ///
-/// The single-threaded API ([`BitmapIndex::evaluate_detailed`]) is
-/// untouched; this type is an additive facade over the same rewrite and
-/// the same §6.3 evaluation semantics.
+/// Each query runs the same rewrite and the same §6.3 DAG fold as
+/// [`BitmapIndex::evaluate_detailed`] with
+/// [`crate::EvalStrategy::ComponentWise`], so results, scan counts and
+/// the raw/compressed node mix match it exactly; only the buffer pool
+/// (lock-striped, shared) and the per-thread disk heads differ.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelExecutor {
     threads: usize,
@@ -154,44 +163,7 @@ impl ParallelExecutor {
         pool: &ShardedBufferPool,
         cost: &CostModel,
     ) -> BatchResult {
-        self.execute_traced(index, queries, pool, cost, &Tracer::disabled(), None)
-    }
-
-    /// [`ParallelExecutor::execute`] with span tracing: records a `batch`
-    /// span under `parent` with one `query` child per batch entry (opened
-    /// on whichever worker thread picks the query up) and, inside each
-    /// query, the rewrite / build / fold phases with per-DAG-node spans
-    /// carrying queue-wait and run time. A disabled tracer makes this
-    /// identical to [`ParallelExecutor::execute`].
-    pub fn execute_traced(
-        &self,
-        index: &BitmapIndex,
-        queries: &[Query],
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-    ) -> BatchResult {
-        self.execute_inner(index, None, queries, pool, cost, tracer, parent, None)
-            .expect("no deadline, cannot expire")
-    }
-
-    /// [`ParallelExecutor::execute`] with a wall-clock deadline, the
-    /// serving path's bounded-latency entry point. The deadline is
-    /// checked between queries and between DAG nodes; once it passes,
-    /// remaining work is abandoned (leaf reads and bitwise ops are
-    /// skipped) and the whole batch returns [`DeadlineExceeded`] —
-    /// partial answers are never handed out. `None` behaves exactly like
-    /// [`ParallelExecutor::execute`].
-    pub fn execute_deadline(
-        &self,
-        index: &BitmapIndex,
-        queries: &[Query],
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        deadline: Option<Instant>,
-    ) -> Result<BatchResult, DeadlineExceeded> {
-        self.execute_inner(
+        self.execute_full_delta(
             index,
             None,
             queries,
@@ -199,36 +171,28 @@ impl ParallelExecutor {
             cost,
             &Tracer::disabled(),
             None,
-            deadline,
+            None,
         )
+        .expect("no deadline, cannot expire")
     }
 
-    /// Span tracing *and* a wall-clock deadline together — the traced
-    /// serving path. Behaves like [`ParallelExecutor::execute_traced`]
-    /// when `deadline` is `None` and like
-    /// [`ParallelExecutor::execute_deadline`] when the tracer is
-    /// disabled; a deadline expiry discards the batch but the spans
-    /// recorded up to that point survive in the tracer.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_full(
-        &self,
-        index: &BitmapIndex,
-        queries: &[Query],
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-        deadline: Option<Instant>,
-    ) -> Result<BatchResult, DeadlineExceeded> {
-        self.execute_inner(index, None, queries, pool, cost, tracer, parent, deadline)
-    }
-
-    /// [`ParallelExecutor::execute_full`] over `main ∪ delta`: every
-    /// query's result is the main index's answer with the in-memory
-    /// delta tail appended ([`DeltaIndex::overlay`]), so mid-ingest
-    /// batches are bit-identical to a from-scratch rebuild over the
-    /// concatenated column. `delta: None` behaves exactly like
-    /// [`ParallelExecutor::execute_full`].
+    /// [`ParallelExecutor::execute`] with every option: the `main ∪
+    /// delta` overlay, span tracing and a wall-clock deadline.
+    ///
+    /// * `delta` — every query's result is the main index's answer with
+    ///   the in-memory delta tail appended ([`DeltaIndex::overlay`]), so
+    ///   mid-ingest batches are bit-identical to a from-scratch rebuild
+    ///   over the concatenated column.
+    /// * `tracer`/`parent` — records a `batch` span under `parent` with
+    ///   one `query` child per batch entry (opened on whichever worker
+    ///   thread picks the query up) and, inside each query, the rewrite /
+    ///   build / fold phases with per-DAG-node spans carrying domain,
+    ///   predicted and queue-wait time. A disabled tracer records nothing.
+    /// * `deadline` — checked between queries and between DAG nodes; once
+    ///   it passes, remaining work is abandoned (leaf reads and bitwise
+    ///   ops are skipped) and the whole batch returns
+    ///   [`DeadlineExceeded`]. Partial answers are never handed out, but
+    ///   the spans recorded up to that point survive in the tracer.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_full_delta(
         &self,
@@ -241,7 +205,55 @@ impl ParallelExecutor {
         parent: Option<SpanId>,
         deadline: Option<Instant>,
     ) -> Result<BatchResult, DeadlineExceeded> {
-        self.execute_inner(index, delta, queries, pool, cost, tracer, parent, deadline)
+        let started = Instant::now();
+        let cancel = deadline.map(Cancel::new);
+        let batch_span = tracer.span("batch", parent);
+        batch_span.attr("queries", queries.len());
+        batch_span.attr("threads", self.threads);
+        let batch_id = batch_span.id();
+
+        let results = self.drain(queries, cancel.as_ref(), |qi, q, inner| {
+            let q_span = tracer
+                .is_enabled()
+                .then(|| tracer.span(&format!("query {qi}"), batch_id));
+            let q_id = q_span.as_ref().and_then(|s| s.id());
+            let result = evaluate_one(
+                index,
+                delta,
+                q,
+                pool,
+                inner,
+                self.domain,
+                cost,
+                tracer,
+                q_id,
+                cancel.as_ref(),
+            );
+            if let Some(span) = &q_span {
+                span.attr("scans", result.scans);
+                span.attr("pages", result.io.pages_read);
+            }
+            result
+        })?;
+
+        let mut io = IoStats::new();
+        let mut io_seconds = 0.0;
+        let mut cpu_seconds = 0.0;
+        for r in &results {
+            io += r.io;
+            io_seconds += r.io_seconds;
+            cpu_seconds += r.cpu_seconds;
+        }
+        index.store().charge(io);
+
+        Ok(BatchResult {
+            results,
+            io,
+            io_seconds,
+            cpu_seconds,
+            wall_seconds: started.elapsed().as_secs_f64(),
+            threads: self.threads,
+        })
     }
 
     /// Executes a multi-attribute [`Plan`] against an [`IndexedTable`]:
@@ -288,194 +300,79 @@ impl ParallelExecutor {
         deadline: Option<Instant>,
     ) -> Result<PlanEvalResult, DeadlineExceeded> {
         let cancel = deadline.map(Cancel::new);
-        let cancel = cancel.as_ref();
+        let deltas = deltas.unwrap_or(&[]);
         let lits = plan.distinct_literals();
-        let outer = self.threads.min(lits.len()).max(1);
-        let inner = self
-            .inner_threads
-            .unwrap_or_else(|| (self.threads / outer).max(1));
-
         let plan_span = tracer.span("plan", parent);
         plan_span.attr("clauses", plan.clauses.len());
         plan_span.attr("literals", lits.len());
         let plan_id = plan_span.id();
 
-        let slots: Vec<Mutex<Option<EvalResult>>> = lits.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for _ in 0..outer {
-                let (next, slots, lits) = (&next, &slots, &lits);
-                scope.spawn(move || loop {
-                    let li = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(lit) = lits.get(li) else { break };
-                    if cancel.is_some_and(Cancel::expired) {
-                        break;
-                    }
-                    let index = table
-                        .index_at(lit.attr)
-                        .expect("plan literal within schema");
-                    let delta = deltas.and_then(|d| d.get(lit.attr).copied().flatten());
-                    let span = if tracer.is_enabled() {
-                        Some(tracer.span(&format!("literal {li}"), plan_id))
-                    } else {
-                        None
-                    };
-                    let span_id = span.as_ref().and_then(|s| s.id());
-                    let mut result = evaluate_one(
-                        index,
-                        delta,
-                        &lit.query,
-                        pool,
-                        inner,
-                        self.domain,
-                        cost,
-                        tracer,
-                        span_id,
-                        cancel,
-                    );
-                    if lit.complement {
-                        result.bitmap.not_assign();
-                    }
-                    if let Some(span) = &span {
-                        span.attr("scans", result.scans);
-                        span.attr("pages", result.io.pages_read);
-                    }
-                    *slots[li].lock().expect("literal slot") = Some(result);
-                });
+        let results = self.drain(&lits, cancel.as_ref(), |li, lit, inner| {
+            let index = table
+                .index_at(lit.attr)
+                .expect("plan literal within schema");
+            let delta = deltas.get(lit.attr).copied().flatten();
+            let span = tracer
+                .is_enabled()
+                .then(|| tracer.span(&format!("literal {li}"), plan_id));
+            let span_id = span.as_ref().and_then(|s| s.id());
+            let result = evaluate_one(
+                index,
+                delta,
+                &lit.query,
+                pool,
+                inner,
+                self.domain,
+                cost,
+                tracer,
+                span_id,
+                cancel.as_ref(),
+            );
+            if let Some(span) = &span {
+                span.attr("scans", result.scans);
+                span.attr("pages", result.io.pages_read);
             }
-        });
+            result
+        })?;
 
-        if cancel.is_some_and(Cancel::expired) {
-            return Err(DeadlineExceeded);
-        }
-        let results: Vec<EvalResult> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("literal slot")
-                    .expect("every literal evaluated")
-            })
-            .collect();
-
-        let mut out = PlanEvalResult {
-            bitmap: Bitvec::zeros(0),
-            scans: 0,
-            io: IoStats::new(),
-            seconds: 0.0,
-            decompressions: 0,
-            literals: lits.len(),
-        };
         for (lit, r) in lits.iter().zip(&results) {
-            out.scans += r.scans;
-            out.io += r.io;
-            out.seconds += r.total_seconds();
-            out.decompressions += r.decompressions;
             if let Some(index) = table.index_at(lit.attr) {
                 index.store().charge(r.io);
             }
         }
-        let total_rows = results.first().map_or_else(
-            || {
-                table.rows()
-                    + deltas
-                        .into_iter()
-                        .flatten()
-                        .flatten()
-                        .next()
-                        .map_or(0, |d| d.rows())
-            },
-            |r| r.bitmap.len(),
-        );
-        let lookup = |lit: &PlanLiteral| -> &Bitvec {
-            &results[lits
-                .iter()
-                .position(|l| l == lit)
-                .expect("literal evaluated")]
-            .bitmap
-        };
-        let mut acc: Option<Bitvec> = None;
-        for clause in &plan.clauses {
-            let folded = match clause.split_first() {
-                None => Bitvec::ones_vec(total_rows),
-                Some((first, rest)) => {
-                    let mut b = lookup(first).clone();
-                    for lit in rest {
-                        b.and_assign(lookup(lit));
-                    }
-                    b
-                }
-            };
-            match &mut acc {
-                None => acc = Some(folded),
-                Some(a) => a.or_assign(&folded),
-            }
-        }
-        out.bitmap = acc.unwrap_or_else(|| Bitvec::zeros(total_rows));
-        Ok(out)
+        Ok(table.fold_plan(plan, &lits, results, deltas))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn execute_inner(
+    /// The batch work queue: `items` are drained by scoped worker
+    /// threads through an atomic cursor into per-item result slots,
+    /// stopping early once `cancel` expires. `eval` receives the item's
+    /// position, the item, and the threads its DAG fold may use (the
+    /// budget left over after one thread per item). Results arrive in
+    /// input order.
+    fn drain<T: Sync>(
         &self,
-        index: &BitmapIndex,
-        delta: Option<&DeltaIndex>,
-        queries: &[Query],
-        pool: &ShardedBufferPool,
-        cost: &CostModel,
-        tracer: &Tracer,
-        parent: Option<SpanId>,
-        deadline: Option<Instant>,
-    ) -> Result<BatchResult, DeadlineExceeded> {
-        let started = Instant::now();
-        let cancel = deadline.map(Cancel::new);
-        let cancel = cancel.as_ref();
-        let outer = self.threads.min(queries.len()).max(1);
+        items: &[T],
+        cancel: Option<&Cancel>,
+        eval: impl Fn(usize, &T, usize) -> EvalResult + Sync,
+    ) -> Result<Vec<EvalResult>, DeadlineExceeded> {
+        let outer = self.threads.min(items.len()).max(1);
         let inner = self
             .inner_threads
             .unwrap_or_else(|| (self.threads / outer).max(1));
-
-        let batch_span = tracer.span("batch", parent);
-        batch_span.attr("queries", queries.len());
-        batch_span.attr("threads", self.threads);
-        let batch_id = batch_span.id();
-
         let slots: Vec<Mutex<Option<EvalResult>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
+            items.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
 
         std::thread::scope(|scope| {
             for _ in 0..outer {
-                let (next, slots) = (&next, &slots);
-                scope.spawn(move || loop {
-                    let qi = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(q) = queries.get(qi) else { break };
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
                     if cancel.is_some_and(Cancel::expired) {
                         break;
                     }
-                    let q_span = if tracer.is_enabled() {
-                        Some(tracer.span(&format!("query {qi}"), batch_id))
-                    } else {
-                        None
-                    };
-                    let q_id = q_span.as_ref().and_then(|s| s.id());
-                    let result = evaluate_one(
-                        index,
-                        delta,
-                        q,
-                        pool,
-                        inner,
-                        self.domain,
-                        cost,
-                        tracer,
-                        q_id,
-                        cancel,
-                    );
-                    if let Some(span) = &q_span {
-                        span.attr("scans", result.scans);
-                        span.attr("pages", result.io.pages_read);
-                    }
-                    *slots[qi].lock().expect("result slot") = Some(result);
+                    let result = eval(i, item, inner);
+                    *slots[i].lock().expect("result slot") = Some(result);
                 });
             }
         });
@@ -483,33 +380,14 @@ impl ParallelExecutor {
         if cancel.is_some_and(Cancel::expired) {
             return Err(DeadlineExceeded);
         }
-        let results: Vec<EvalResult> = slots
+        Ok(slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .expect("result slot")
-                    .expect("every query evaluated")
+                    .expect("every item evaluated")
             })
-            .collect();
-
-        let mut io = IoStats::new();
-        let mut io_seconds = 0.0;
-        let mut cpu_seconds = 0.0;
-        for r in &results {
-            io += r.io;
-            io_seconds += r.io_seconds;
-            cpu_seconds += r.cpu_seconds;
-        }
-        index.store().charge(io);
-
-        Ok(BatchResult {
-            results,
-            io,
-            io_seconds,
-            cpu_seconds,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            threads: self.threads,
-        })
+            .collect())
     }
 }
 
@@ -548,7 +426,7 @@ impl BatchResult {
 /// Evaluates one query: rewrite, DAG fold (parallel if `inner > 1`), and
 /// the existence-bitmap intersection — mirroring
 /// [`BitmapIndex::evaluate_detailed`] with
-/// [`EvalStrategy::ComponentWise`]-equivalent scan accounting.
+/// [`crate::EvalStrategy::ComponentWise`]-equivalent scan accounting.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_one(
     index: &BitmapIndex,
@@ -567,24 +445,35 @@ fn evaluate_one(
     let merged = Expr::or(constituents);
     let mut distinct = merged.scan_count();
 
-    let lookup = |r: crate::BitmapRef| index.handle(r.component, r.slot);
     let build_span = tracer.span("build", parent);
     let dag = Dag::build(&merged);
     build_span.attr("nodes", dag.ops.len());
     build_span.finish();
 
     let fold_span = tracer.span("fold", parent);
-    let fold_id = fold_span.id();
+    let model = index.domain_cost_model();
+    let leaf = |r: BitmapRef, ctx: &mut ReadContext, dec: &mut usize| {
+        let handle = index.handle(r.component, r.slot);
+        let store = index.store();
+        if reads_compressed(domain, handle, store.stored_size(handle), model) {
+            let c = store
+                .read_compressed_shared(handle, pool, ctx)
+                .unwrap_or_else(|e| panic!("corrupt bitmap on an unguarded shared read path: {e}"));
+            NodeVal::packed(c)
+        } else {
+            *dec += usize::from(handle.codec() != CodecKind::Raw);
+            NodeVal::Raw(store.read_shared(handle, pool, ctx))
+        }
+    };
     let fold = fold_dag(
         &dag,
         index.rows(),
-        &lookup,
-        index,
-        pool,
+        &leaf,
         inner,
         domain,
+        model,
         tracer,
-        fold_id,
+        fold_span.id(),
         cancel,
     );
     let (mut bitmap, peak_resident, mut scans, mut io, mut decompressions) = (
@@ -672,27 +561,36 @@ struct FoldState {
 }
 
 /// Everything one DAG fold produced.
-struct FoldOutcome {
-    bitmap: Bitvec,
-    peak_resident: usize,
-    scans: usize,
-    io: IoStats,
-    decompressions: usize,
-    nodes_raw: usize,
-    nodes_compressed: usize,
+pub(crate) struct FoldOutcome {
+    pub(crate) bitmap: Bitvec,
+    pub(crate) peak_resident: usize,
+    pub(crate) scans: usize,
+    pub(crate) io: IoStats,
+    pub(crate) decompressions: usize,
+    pub(crate) nodes_raw: usize,
+    pub(crate) nodes_compressed: usize,
 }
 
+/// Produces one leaf's value on the worker that reaches it, counting
+/// any decompression into the `usize`; reads through the worker's own
+/// [`ReadContext`].
+pub(crate) type LeafFn<'a> = dyn Fn(BitmapRef, &mut ReadContext, &mut usize) -> NodeVal + Sync + 'a;
+
 /// Folds the DAG bottom-up with `workers` threads (the §6.3 evaluator's
-/// independent-subtree parallelism). Runs inline when `workers == 1`.
+/// independent-subtree parallelism); runs inline when `workers == 1`.
+/// Compressed streams combine in the compressed domain and are decoded
+/// (once, at the root, in the best case) where `domain`, `model` or the
+/// codec require. Each node runs under a `node` span carrying the domain
+/// its value ended up in, the model's predicted nanoseconds and its
+/// queue wait.
 #[allow(clippy::too_many_arguments)]
-fn fold_dag(
+pub(crate) fn fold_dag(
     dag: &Dag,
     rows: usize,
-    lookup: &(dyn Fn(crate::BitmapRef) -> BitmapHandle + Sync),
-    index: &BitmapIndex,
-    pool: &ShardedBufferPool,
+    leaf: &LeafFn<'_>,
     workers: usize,
     domain: EvalDomain,
+    model: &DomainCostModel,
     tracer: &Tracer,
     parent: Option<SpanId>,
     cancel: Option<&Cancel>,
@@ -740,8 +638,8 @@ fn fold_dag(
         let run = || {
             let mut ctx = ReadContext::new();
             worker_loop(
-                dag, &parents, &state, rows, lookup, index, pool, &mut ctx, n, domain, tracer,
-                parent, cancel,
+                dag, &parents, &state, rows, leaf, &mut ctx, n, domain, model, tracer, parent,
+                cancel,
             );
             *io.lock().expect("io totals") += ctx.take_stats();
         };
@@ -775,12 +673,11 @@ fn worker_loop(
     parents: &[Vec<usize>],
     state: &FoldState,
     rows: usize,
-    lookup: &(dyn Fn(crate::BitmapRef) -> BitmapHandle + Sync),
-    index: &BitmapIndex,
-    pool: &ShardedBufferPool,
+    leaf: &LeafFn<'_>,
     ctx: &mut ReadContext,
     total: usize,
     domain: EvalDomain,
+    model: &DomainCostModel,
     tracer: &Tracer,
     parent: Option<SpanId>,
     cancel: Option<&Cancel>,
@@ -805,7 +702,7 @@ fn worker_loop(
         let node_span = enqueued.map(|t| {
             let kind = match &dag.ops[node] {
                 NodeOp::Const(_) => "const",
-                NodeOp::Leaf(_) => "read",
+                NodeOp::Leaf(_) => "leaf",
                 NodeOp::Not(_) => "not",
                 NodeOp::And(_) => "and",
                 NodeOp::Or(_) => "or",
@@ -815,6 +712,9 @@ fn worker_loop(
             span.attr("wait_ns", t.elapsed().as_nanos());
             span
         });
+        // Sum of model predictions for the work this node performs
+        // (tracing only; stays 0.0 on the untraced hot path).
+        let mut predicted_ns = 0.0f64;
 
         let mut dec = 0usize;
         let value = if cancel.is_some_and(Cancel::expired) {
@@ -829,20 +729,7 @@ fn worker_loop(
                 NodeOp::Const(false) => NodeVal::Raw(Bitvec::zeros(rows)),
                 NodeOp::Leaf(r) => {
                     state.scans.fetch_add(1, Ordering::Relaxed);
-                    let handle = lookup(*r);
-                    let stored = index.store().stored_size(handle);
-                    if reads_compressed(domain, handle, stored, index.domain_cost_model()) {
-                        let c = index
-                            .store()
-                            .read_compressed_shared(handle, pool, ctx)
-                            .unwrap_or_else(|e| {
-                                panic!("corrupt bitmap on an unguarded shared read path: {e}")
-                            });
-                        NodeVal::packed(c)
-                    } else {
-                        dec += usize::from(handle.codec() != CodecKind::Raw);
-                        NodeVal::Raw(index.store().read_shared(handle, pool, ctx))
-                    }
+                    leaf(*r, ctx, &mut dec)
                 }
                 op => {
                     // Fold children, locking one value at a time. Children are
@@ -859,7 +746,10 @@ fn worker_loop(
                     let mut acc = child(children[0]);
                     match op {
                         NodeOp::Not(_) => {
-                            acc = acc.not(domain, index.domain_cost_model(), &mut dec);
+                            if node_span.is_some() {
+                                predicted_ns = predict_ns(&acc, None, model);
+                            }
+                            acc = acc.not(domain, model, &mut dec);
                         }
                         NodeOp::And(_) | NodeOp::Or(_) | NodeOp::Xor(..) => {
                             let bit_op = match op {
@@ -870,13 +760,10 @@ fn worker_loop(
                             for &c in &children[1..] {
                                 let guard = state.values[c].lock().expect("child value");
                                 let rhs = guard.as_ref().expect("child computed");
-                                acc = acc.combine(
-                                    rhs,
-                                    bit_op,
-                                    domain,
-                                    index.domain_cost_model(),
-                                    &mut dec,
-                                );
+                                if node_span.is_some() {
+                                    predicted_ns += predict_ns(&acc, Some(rhs), model);
+                                }
+                                acc = acc.combine(rhs, bit_op, domain, model, &mut dec);
                             }
                         }
                         NodeOp::Const(_) | NodeOp::Leaf(_) => unreachable!("handled above"),
@@ -896,6 +783,7 @@ fn worker_loop(
 
         if let Some(span) = &node_span {
             span.attr("domain", value.domain_name());
+            span.attr("predicted_ns", predicted_ns.round() as u64);
         }
         drop(node_span);
         *state.values[node].lock().expect("node value") = Some(value);
@@ -941,7 +829,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BufferPool, EncodingScheme, IndexConfig};
+    use crate::{BufferPool, EncodingScheme, EvalStrategy, IndexConfig};
     use bix_compress::CodecKind;
 
     fn test_index(codec: CodecKind) -> BitmapIndex {
@@ -1157,11 +1045,14 @@ mod tests {
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
         let got = ParallelExecutor::new(4)
             .with_inner_threads(2)
-            .execute_deadline(
+            .execute_full_delta(
                 &index,
+                None,
                 &test_queries(),
                 &pool,
                 &CostModel::default(),
+                &Tracer::disabled(),
+                None,
                 Some(past),
             );
         assert_eq!(got.unwrap_err(), DeadlineExceeded);
@@ -1177,7 +1068,16 @@ mod tests {
         let pool = ShardedBufferPool::new(4096, 4);
         let far = std::time::Instant::now() + std::time::Duration::from_secs(600);
         let timed = ParallelExecutor::new(4)
-            .execute_deadline(&index, &queries, &pool, &CostModel::default(), Some(far))
+            .execute_full_delta(
+                &index,
+                None,
+                &queries,
+                &pool,
+                &CostModel::default(),
+                &Tracer::disabled(),
+                None,
+                Some(far),
+            )
             .expect("generous deadline cannot expire");
         for (g, w) in timed.results.iter().zip(&plain.results) {
             assert_eq!(g.bitmap, w.bitmap);

@@ -4,14 +4,31 @@
 //! untraced ones.
 
 use bix_core::{
-    BitmapIndex, BufferPool, CostModel, EncodingScheme, EvalStrategy, IndexConfig, MetricsRegistry,
-    ParallelExecutor, Query, ShardedBufferPool, SpanRecord, Tracer,
+    BitmapIndex, BufferPool, CostModel, EncodingScheme, EvalDomain, EvalStrategy, IndexConfig,
+    MetricsRegistry, ParallelExecutor, Query, ShardedBufferPool, SpanRecord, Tracer,
 };
 
 fn test_index() -> BitmapIndex {
     let column: Vec<u64> = (0..30_000u64).map(|i| (i * 37 + i / 13) % 50).collect();
     let config = IndexConfig::n_components(50, EncodingScheme::Interval, 2);
     BitmapIndex::build(&column, &config)
+}
+
+/// Every `node` span of the shared DAG fold carries the domain its value
+/// ended up in, the cost model's prediction and its ready-queue wait.
+fn assert_node_span_schema(records: &[SpanRecord]) {
+    let nodes: Vec<&SpanRecord> = records.iter().filter(|r| r.phase() == "node").collect();
+    assert!(!nodes.is_empty(), "per-node spans recorded");
+    for r in nodes {
+        for key in ["domain", "predicted_ns", "wait_ns"] {
+            assert!(
+                r.attrs.iter().any(|(k, _)| k == key),
+                "{} lacks {key}: {:?}",
+                r.name,
+                r.attrs
+            );
+        }
+    }
 }
 
 /// Child spans must start and end inside their parent's window, so the
@@ -53,10 +70,11 @@ fn sequential_trace_has_nested_phases() {
 
     let root = tracer.span("query", None);
     let root_id = root.id();
-    let traced = index.evaluate_detailed_traced(
+    let traced = index.evaluate_detailed_with_domain(
         &q,
         &mut pool,
         EvalStrategy::ComponentWise,
+        EvalDomain::default(),
         &CostModel::default(),
         &tracer,
         root_id,
@@ -68,6 +86,7 @@ fn sequential_trace_has_nested_phases() {
 
     let records = tracer.records();
     assert_tree_invariants(&records);
+    assert_node_span_schema(&records);
 
     // The acceptance criterion: at least 4 distinct nested phases.
     let phases: std::collections::BTreeSet<&str> = records.iter().map(SpanRecord::phase).collect();
@@ -123,14 +142,17 @@ fn parallel_trace_covers_every_query_and_node_waits() {
     let tracer = Tracer::new();
     let batch = ParallelExecutor::new(2)
         .with_inner_threads(2)
-        .execute_traced(
+        .execute_full_delta(
             &index,
+            None,
             &queries,
             &pool,
             &CostModel::default(),
             &tracer,
             None,
-        );
+            None,
+        )
+        .expect("no deadline");
     assert_eq!(batch.results.len(), queries.len());
 
     let records = tracer.records();
@@ -146,17 +168,22 @@ fn parallel_trace_covers_every_query_and_node_waits() {
             .all(|r| r.attrs.iter().any(|(k, _)| k == "wait_ns")),
         "every node span carries queue-wait time"
     );
+    assert_node_span_schema(&records);
 
     // Tracing off: identical results, no records.
     let off = Tracer::disabled();
-    let plain = ParallelExecutor::new(2).execute_traced(
-        &index,
-        &queries,
-        &pool,
-        &CostModel::default(),
-        &off,
-        None,
-    );
+    let plain = ParallelExecutor::new(2)
+        .execute_full_delta(
+            &index,
+            None,
+            &queries,
+            &pool,
+            &CostModel::default(),
+            &off,
+            None,
+            None,
+        )
+        .expect("no deadline");
     for (a, b) in plain.results.iter().zip(&batch.results) {
         assert_eq!(a.bitmap, b.bitmap);
     }
@@ -168,10 +195,11 @@ fn observe_trace_aggregates_phase_histograms() {
     let mut index = test_index();
     let tracer = Tracer::new();
     let mut pool = BufferPool::new(4096);
-    index.evaluate_detailed_traced(
+    index.evaluate_detailed_with_domain(
         &Query::range(5, 30),
         &mut pool,
         EvalStrategy::ComponentWise,
+        EvalDomain::default(),
         &CostModel::default(),
         &tracer,
         None,

@@ -678,14 +678,18 @@ fn cmd_query_batch(path: &str, batch_file: &str, args: &[String]) -> Result<(), 
     } else {
         Tracer::disabled()
     };
-    let batch = executor.execute_traced(
-        &index,
-        &predicates,
-        &pool,
-        &CostModel::default(),
-        &tracer,
-        None,
-    );
+    let batch = executor
+        .execute_full_delta(
+            &index,
+            None,
+            &predicates,
+            &pool,
+            &CostModel::default(),
+            &tracer,
+            None,
+            None,
+        )
+        .map_err(|e| e.to_string())?;
     emit_trace(args, &tracer)?;
     if let Some(metrics_out) = flag_value(args, "--metrics-out") {
         let registry = MetricsRegistry::new();
