@@ -343,12 +343,12 @@ impl ParallelExecutor {
         Ok(table.fold_plan(plan, &lits, results, deltas))
     }
 
-    /// The batch work queue: `items` are drained by scoped worker
-    /// threads through an atomic cursor into per-item result slots,
-    /// stopping early once `cancel` expires. `eval` receives the item's
-    /// position, the item, and the threads its DAG fold may use (the
-    /// budget left over after one thread per item). Results arrive in
-    /// input order.
+    /// The batch work queue: `items` are drained by the calling thread
+    /// and `outer - 1` scoped worker threads through an atomic cursor
+    /// into per-item result slots, stopping early once `cancel`
+    /// expires. `eval` receives the item's position, the item, and the
+    /// threads its DAG fold may use (the budget left over after one
+    /// thread per item). Results arrive in input order.
     fn drain<T: Sync>(
         &self,
         items: &[T],
@@ -364,17 +364,19 @@ impl ParallelExecutor {
         let next = AtomicUsize::new(0);
 
         std::thread::scope(|scope| {
-            for _ in 0..outer {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    if cancel.is_some_and(Cancel::expired) {
-                        break;
-                    }
-                    let result = eval(i, item, inner);
-                    *slots[i].lock().expect("result slot") = Some(result);
-                });
+            let run = || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                if cancel.is_some_and(Cancel::expired) {
+                    break;
+                }
+                let result = eval(i, item, inner);
+                *slots[i].lock().expect("result slot") = Some(result);
+            };
+            for _ in 1..outer {
+                scope.spawn(run);
             }
+            run(); // the calling thread is worker 0
         });
 
         if cancel.is_some_and(Cancel::expired) {

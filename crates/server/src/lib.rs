@@ -41,6 +41,7 @@ pub mod client;
 pub mod netfault;
 pub mod protocol;
 pub mod router;
+mod rowset;
 pub mod server;
 pub mod supervisor;
 
@@ -48,9 +49,10 @@ pub use client::{Client, ClientError, ClientStats, CountReply, IngestAck, Outcom
 pub use netfault::{Direction, FaultyStream, NetFault, NetFaultPlan};
 pub use protocol::{
     decode_frame, encode_frame, read_frame, write_frame, ErrorCode, Frame, Message, Request,
-    Response, RowsReply, StatsFormat, WireError, EXT_LEN, EXT_LEN_TRACE, FLAG_ALLOW_DEGRADED,
-    HEADER_LEN, MAGIC, MAX_BATCH, MAX_INGEST, MAX_PAYLOAD, MAX_REPLY_ROWS, MAX_SHARDS, MAX_SPANS,
-    MAX_SPAN_ATTRS, TRACE_FLAG_SAMPLED, TRACE_FLAG_SPANS, VERSION, VERSION_EXT,
+    Response, RowSet, RowsReply, StatsFormat, WireError, EXT_LEN, EXT_LEN_TRACE,
+    FLAG_ALLOW_DEGRADED, HEADER_LEN, MAGIC, MAX_BATCH, MAX_INGEST, MAX_PAYLOAD, MAX_REPLY_ROWS,
+    MAX_SHARDS, MAX_SPANS, MAX_SPAN_ATTRS, TRACE_FLAG_SAMPLED, TRACE_FLAG_SPANS, VERSION,
+    VERSION_EXT,
 };
 pub use router::{merge_replies, Router, RouterConfig, ShardReply};
 pub use server::{CatalogHandler, IndexHandler, RequestMeta, ServeHandler, Server, ServerConfig};

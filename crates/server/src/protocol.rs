@@ -81,7 +81,11 @@
 //! The encoder picks the window only when the rows are strictly
 //! ascending and the window's body is smaller than the list's, so the
 //! row section is never larger than `8 · count` bytes; unsorted rows keep
-//! the list. The decoder rejects an unknown tag, a window longer than
+//! the list. The window always starts at the first row and ends at the
+//! word holding the last one. In memory the rows are a [`RowSet`]: a
+//! reply built from a result bitmap or decoded from a window keeps the
+//! window's words, so encoding it copies words and decoding it expands
+//! no row id. The decoder rejects an unknown tag, a window longer than
 //! the payload, `count > 64 · words`, a window whose end overflows `u64`,
 //! and a popcount that differs from `count`, all before allocating. A
 //! window is up to 64× denser than the list, so the row ids of a whole
@@ -109,6 +113,8 @@ use std::io::{self, Read, Write};
 use bix_core::EvalDomain;
 use bix_storage::crc32;
 use bix_telemetry::{SpanId, SpanRecord, TraceContext};
+
+pub use crate::rowset::RowSet;
 
 /// Two-byte frame preamble.
 pub const MAGIC: [u8; 2] = *b"bX";
@@ -227,7 +233,7 @@ pub struct RowsReply {
     /// Compressed bitmaps materialised during evaluation.
     pub decompressions: u64,
     /// Matching row ids, ascending.
-    pub rows: Vec<u64>,
+    pub rows: RowSet,
 }
 
 /// A client-to-server message.
@@ -579,25 +585,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 const ROWS_LIST: u8 = 0;
 const ROWS_BITMAP: u8 = 1;
 
-/// The dense window `(first, words)` that encodes `rows` as a bitmap, or
-/// `None` when the list is no larger: the rows must be strictly
-/// ascending, the window's body (`first`, `words` and the words
-/// themselves) must be smaller than the list's 8 bytes per row, and its
-/// end `first + 64·words` must fit a `u64`.
-fn dense_window(rows: &[u64]) -> Option<(u64, u64)> {
-    let (&first, &last) = (rows.first()?, rows.last()?);
-    let words = last.checked_sub(first)? / 64 + 1;
-    let fits = words
-        .checked_mul(64)
-        .and_then(|bits| first.checked_add(bits));
-    if words + 2 >= rows.len() as u64 || fits.is_none() {
-        return None;
-    }
-    rows.windows(2)
-        .all(|w| w[0] < w[1])
-        .then_some((first, words))
-}
-
 /// Bytes of one encoded [`RowsReply`] ahead of its rows: scans,
 /// decompressions, count and the layout tag.
 const ROWS_HEAD_LEN: u64 = 25;
@@ -610,7 +597,7 @@ const ROWS_HEAD_LEN: u64 = 25;
 /// always encodes within [`MAX_PAYLOAD`], and hence within
 /// [`MAX_REPLY_ROWS`]. Otherwise returns the typed `Internal` error to
 /// send instead, ending with `hint`. A traced reply's spans section is
-/// not counted.
+/// not counted: [`write_frame`] refuses a frame it pushes past the cap.
 pub(crate) fn reply_fits(
     row_counts: impl IntoIterator<Item = u64>,
     missing_shards: usize,
@@ -643,25 +630,20 @@ fn encode_rows(out: &mut Vec<u8>, r: &RowsReply) {
     put_u64(out, r.scans);
     put_u64(out, r.decompressions);
     put_u64(out, r.rows.len() as u64);
-    match dense_window(&r.rows) {
-        Some((first, words)) => {
+    match r.rows.wire_window() {
+        Some(window) => {
             out.push(ROWS_BITMAP);
-            put_u64(out, first);
-            put_u64(out, words);
-            // Little-endian words make bit `i` of the window bit `i % 8`
-            // of byte `i / 8`, so the bits are set in place.
-            let at = out.len();
-            out.resize(at + 8 * words as usize, 0);
-            let bits = &mut out[at..];
-            for &row in &r.rows {
-                let i = row - first;
-                bits[(i / 8) as usize] |= 1 << (i % 8);
+            put_u64(out, window.first);
+            put_u64(out, window.words.len() as u64);
+            out.reserve(8 * window.words.len());
+            for &w in &window.words {
+                put_u64(out, w);
             }
         }
         None => {
             out.push(ROWS_LIST);
             out.reserve(8 * r.rows.len());
-            for &row in &r.rows {
+            for row in r.rows.ids() {
                 put_u64(out, row);
             }
         }
@@ -688,7 +670,7 @@ fn decode_rows(r: &mut Reader<'_>, budget: &mut u64) -> Result<RowsReply, WireEr
             for _ in 0..count {
                 rows.push(r.u64()?);
             }
-            rows
+            RowSet::from(rows)
         }
         ROWS_BITMAP => {
             let first = r.u64()?;
@@ -716,15 +698,7 @@ fn decode_rows(r: &mut Reader<'_>, budget: &mut u64) -> Result<RowsReply, WireEr
                 ));
             }
             charge_rows(budget, count)?;
-            let mut rows = Vec::with_capacity(count as usize);
-            for (w, mut word) in window().enumerate() {
-                let base = first + 64 * w as u64;
-                while word != 0 {
-                    rows.push(base + u64::from(word.trailing_zeros()));
-                    word &= word - 1;
-                }
-            }
-            rows
+            RowSet::from_window(first, window().collect())
         }
         _ => return Err(WireError::Malformed("unknown row payload tag")),
     };
@@ -1159,16 +1133,28 @@ fn decode_spans(payload: &[u8]) -> Result<(Vec<SpanRecord>, &[u8]), WireError> {
 
 /// Encodes a frame into a fresh byte buffer (header [+ extension] +
 /// payload + CRC). Frames with zero routing metadata encode as v1.
+///
+/// # Panics
+///
+/// If the payload — spans section included — exceeds [`MAX_PAYLOAD`].
+/// [`write_frame`] returns [`WireError::Oversize`] instead.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    try_encode_frame(frame).expect("frame payload exceeds wire cap")
+}
+
+/// [`encode_frame`], failing with [`WireError::Oversize`] when the
+/// payload exceeds [`MAX_PAYLOAD`].
+fn try_encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
     let mut payload = Vec::new();
     if !frame.spans.is_empty() {
         encode_spans(&mut payload, &frame.spans);
     }
     frame.msg.encode_payload(&mut payload);
-    assert!(
-        payload.len() <= MAX_PAYLOAD as usize,
-        "frame payload exceeds wire cap"
-    );
+    if payload.len() > MAX_PAYLOAD as usize {
+        return Err(WireError::Oversize(
+            u32::try_from(payload.len()).unwrap_or(u32::MAX),
+        ));
+    }
     let extended = frame.extended();
     let ext = encode_extension(frame);
     let mut out = Vec::with_capacity(HEADER_LEN + ext.len() + payload.len() + 4);
@@ -1185,7 +1171,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     };
     out.extend_from_slice(&payload);
     put_u32(&mut out, crc);
-    out
+    Ok(out)
 }
 
 /// Decodes one frame from the front of `buf`, returning it with the
@@ -1250,9 +1236,11 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
     Ok((frame, total))
 }
 
-/// Writes one frame to a transport, returning the bytes written.
+/// Writes one frame to a transport, returning the bytes written. A
+/// frame whose payload exceeds [`MAX_PAYLOAD`] is refused with
+/// [`WireError::Oversize`] before any byte is written.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError> {
-    let bytes = encode_frame(frame);
+    let bytes = try_encode_frame(frame)?;
     w.write_all(&bytes)?;
     w.flush()?;
     Ok(bytes.len())
@@ -1382,7 +1370,7 @@ mod tests {
                 Message::Response(Response::Rows(RowsReply {
                     scans: 2,
                     decompressions: 1,
-                    rows: vec![0, 5, 1_000_000],
+                    rows: vec![0, 5, 1_000_000].into(),
                 })),
             ),
             Frame::new(
@@ -1391,12 +1379,12 @@ mod tests {
                     RowsReply {
                         scans: 1,
                         decompressions: 0,
-                        rows: vec![],
+                        rows: vec![].into(),
                     },
                     RowsReply {
                         scans: 4,
                         decompressions: 2,
-                        rows: vec![9, 10],
+                        rows: vec![9, 10].into(),
                     },
                 ])),
             ),
@@ -1564,7 +1552,7 @@ mod tests {
             &RowsReply {
                 scans: 1,
                 decompressions: 2,
-                rows: rows.clone(),
+                rows: rows.clone().into(),
             },
         );
         assert_eq!(out[24], ROWS_BITMAP);
@@ -1573,6 +1561,37 @@ mod tests {
         let got = decode_rows(&mut Reader::new(&out), &mut MAX_REPLY_ROWS.clone()).unwrap();
         assert_eq!(got.rows, rows);
         assert_eq!((got.scans, got.decompressions), (1, 2));
+    }
+
+    #[test]
+    fn decoded_windows_answer_len_and_equality_without_expanding() {
+        let rows: Vec<u64> = (70..4_000).filter(|r| r % 5 != 0).collect();
+        let frame = Frame::new(
+            3,
+            Message::Response(Response::Rows(RowsReply {
+                scans: 1,
+                decompressions: 0,
+                rows: rows.clone().into(),
+            })),
+        );
+        let bytes = encode_frame(&frame);
+        let decode = || match decode_frame(&bytes).unwrap().0.msg {
+            Message::Response(Response::Rows(r)) => r.rows,
+            other => panic!("{other:?}"),
+        };
+        let (a, b) = (decode(), decode());
+        assert!(a.window().is_some(), "dense rows travel as a window");
+        assert_eq!(a.len(), rows.len());
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
+        assert_eq!(a, rows);
+        assert_ne!(a, rows[1..].to_vec());
+        assert!(!a.is_expanded() && !b.is_expanded());
+        // Re-encoding a decoded window copies its words: same bytes.
+        assert_eq!(encode_frame(&decode_frame(&bytes).unwrap().0), bytes);
+        // The first slice access expands it, once.
+        assert_eq!(a.iter().copied().sum::<u64>(), rows.iter().sum::<u64>());
+        assert!(a.is_expanded());
     }
 
     #[test]
@@ -1590,7 +1609,7 @@ mod tests {
                 &RowsReply {
                     scans: 0,
                     decompressions: 0,
-                    rows: rows.clone(),
+                    rows: rows.clone().into(),
                 },
             );
             assert_eq!(out[24], ROWS_LIST, "{rows:?}");
@@ -1604,7 +1623,7 @@ mod tests {
             &RowsReply {
                 scans: 0,
                 decompressions: 0,
-                rows: top,
+                rows: top.into(),
             },
         );
         assert_eq!(out[24], ROWS_LIST);
@@ -1683,7 +1702,7 @@ mod tests {
         let reply = |rows: Vec<u64>| RowsReply {
             scans: 1,
             decompressions: 0,
-            rows,
+            rows: rows.into(),
         };
         let sparse = || reply((0..40).map(|i| i * 1_000).collect());
         let dense = || reply((0..640).filter(|r| r % 3 != 0).collect());
@@ -1745,7 +1764,7 @@ mod tests {
                 Message::Response(Response::Rows(RowsReply {
                     scans: 2,
                     decompressions: 1,
-                    rows: vec![5, 9],
+                    rows: vec![5, 9].into(),
                 })),
             )
         }
@@ -1795,12 +1814,12 @@ mod tests {
                     RowsReply {
                         scans: 1,
                         decompressions: 0,
-                        rows: vec![2, 4, 1000],
+                        rows: vec![2, 4, 1000].into(),
                     },
                     RowsReply {
                         scans: 0,
                         decompressions: 0,
-                        rows: vec![],
+                        rows: vec![].into(),
                     },
                 ],
             }),
@@ -1866,7 +1885,7 @@ mod tests {
             Message::Response(Response::Rows(RowsReply {
                 scans: 1,
                 decompressions: 0,
-                rows: vec![3, 8],
+                rows: vec![3, 8].into(),
             })),
         );
         frame.shard_id = 2;

@@ -3,9 +3,13 @@
 //! A [`Router`] fronts N shard servers, each serving a contiguous slice
 //! of the global row space in shard order: shard 0 owns rows
 //! `[0, r0)`, shard 1 owns `[r0, r0+r1)`, and so on. Fanning a query
-//! out and merging is therefore cheap concatenation — each shard's
-//! local row ids are offset by the prefix sum of earlier shards' row
-//! counts ([`merge_replies`]) and appended; no sorting, no dedup.
+//! out and merging is therefore cheap concatenation: each shard's reply
+//! is placed at the prefix sum of earlier shards' row counts
+//! ([`merge_replies`]); no sorting, no dedup. Shard replies stay the
+//! bitmaps they were decoded as, so merging a dense reply is a shifted
+//! concatenation of `u64` words — shard `i`'s words shifted left by its
+//! row base — and no row id is expanded anywhere on the router. Sparse
+//! replies, which travel as lists, concatenate as offset lists.
 //!
 //! The router is itself a [`ServeHandler`], so it rides the same
 //! accept/admission/worker machinery as a shard: admission control,
@@ -51,7 +55,7 @@ use bix_telemetry::{
 };
 
 use crate::client::{Client, ClientError, RetryPolicy};
-use crate::protocol::{reply_fits, ErrorCode, Request, Response, RowsReply, StatsFormat};
+use crate::protocol::{reply_fits, ErrorCode, Request, Response, RowSet, RowsReply, StatsFormat};
 use crate::server::{RequestMeta, ServeHandler};
 use crate::supervisor::{ShardState, Supervisor, SupervisorConfig};
 
@@ -116,31 +120,31 @@ pub struct ShardReply {
 
 /// Merges per-shard batch replies into the monolith's answer: for each
 /// predicate, every shard's local row ids are offset by that shard's
-/// `row_base` and concatenated in the order given.
+/// `row_base` and concatenated in the order given ([`RowSet::concat`]).
 ///
 /// Callers must pass shards in ascending `row_base` order (shard
 /// order); local ids are sorted, so the concatenation is globally
-/// sorted without a merge sort. Scan and decompression counts sum.
-/// This is a pure function so its equivalence to monolith evaluation is
+/// sorted without a merge sort. Dense replies merge as bitmaps: each
+/// shard's window words are shifted to its `row_base` and concatenated,
+/// and no row id is expanded. Scan and decompression counts sum. A
+/// shard's replies past `n_predicates` are ignored. This is a pure
+/// function so its equivalence to monolith evaluation is
 /// property-testable without sockets.
 pub fn merge_replies(n_predicates: usize, shards: &[ShardReply]) -> Vec<RowsReply> {
-    let mut merged: Vec<RowsReply> = (0..n_predicates)
-        .map(|_| RowsReply {
-            scans: 0,
-            decompressions: 0,
-            rows: Vec::new(),
+    (0..n_predicates)
+        .map(|q| {
+            let parts = || {
+                shards
+                    .iter()
+                    .filter_map(move |s| s.replies.get(q).map(|r| (s.row_base, r)))
+            };
+            RowsReply {
+                scans: parts().map(|(_, r)| r.scans).sum(),
+                decompressions: parts().map(|(_, r)| r.decompressions).sum(),
+                rows: RowSet::concat(parts().map(|(base, r)| (base, &r.rows))),
+            }
         })
-        .collect();
-    for shard in shards {
-        for (q, reply) in shard.replies.iter().enumerate() {
-            let out = &mut merged[q];
-            out.scans += reply.scans;
-            out.decompressions += reply.decompressions;
-            out.rows
-                .extend(reply.rows.iter().map(|&r| r + shard.row_base));
-        }
-    }
-    merged
+        .collect()
 }
 
 /// Per-shard metric handles, indexed like the shard list.
@@ -521,9 +525,10 @@ impl RouterInner {
             }
             let rows: Vec<u64> = (0..n).map(|i| self.supervisor.rows(i)).collect();
 
-            // Parallel legs: one thread per admitted shard. Each epoch
-            // round is its own span so re-fans after a stale reply are
-            // visible in the trace, not silently folded into one.
+            // Parallel legs: one per admitted shard, the last on this
+            // thread and the others on their own. Each epoch round is
+            // its own span so re-fans after a stale reply are visible in
+            // the trace, not silently folded into one.
             let round_span = tracer.span(&format!("round {epoch_round}"), fanout_span.id());
             let round_id = round_span.id();
             let trace = meta.trace;
@@ -531,26 +536,32 @@ impl RouterInner {
             for _ in 0..n {
                 outcomes.push(None);
             }
+            let leg = |i: usize, slot: &mut Option<LegOutcome>| {
+                *slot = Some(self.run_leg(
+                    i,
+                    req,
+                    domain,
+                    deadline,
+                    expected[i],
+                    tracer,
+                    round_id,
+                    trace,
+                ));
+            };
             std::thread::scope(|scope| {
                 let mut handles = Vec::new();
+                let mut pending = None;
                 for (i, slot) in outcomes.iter_mut().enumerate() {
                     if !self.supervisor.admit(i) {
                         *slot = Some(LegOutcome::Missing(ShardFailure::Down));
                         continue;
                     }
-                    let expected_epoch = expected[i];
-                    handles.push(scope.spawn(move || {
-                        *slot = Some(self.run_leg(
-                            i,
-                            req,
-                            domain,
-                            deadline,
-                            expected_epoch,
-                            tracer,
-                            round_id,
-                            trace,
-                        ));
-                    }));
+                    if let Some((j, prev)) = pending.replace((i, slot)) {
+                        handles.push(scope.spawn(move || leg(j, prev)));
+                    }
+                }
+                if let Some((i, slot)) = pending {
+                    leg(i, slot);
                 }
                 for h in handles {
                     let _ = h.join();
@@ -1121,7 +1132,7 @@ mod tests {
                 replies: vec![RowsReply {
                     scans: 2,
                     decompressions: 1,
-                    rows: vec![0, 5],
+                    rows: vec![0, 5].into(),
                 }],
             },
             ShardReply {
@@ -1129,7 +1140,7 @@ mod tests {
                 replies: vec![RowsReply {
                     scans: 3,
                     decompressions: 0,
-                    rows: vec![1, 2],
+                    rows: vec![1, 2].into(),
                 }],
             },
             // Empty shard contributes nothing but still occupies its
@@ -1139,7 +1150,7 @@ mod tests {
                 replies: vec![RowsReply {
                     scans: 0,
                     decompressions: 0,
-                    rows: vec![],
+                    rows: vec![].into(),
                 }],
             },
             ShardReply {
@@ -1147,7 +1158,7 @@ mod tests {
                 replies: vec![RowsReply {
                     scans: 1,
                     decompressions: 4,
-                    rows: vec![0],
+                    rows: vec![0].into(),
                 }],
             },
         ];
@@ -1167,12 +1178,12 @@ mod tests {
                     RowsReply {
                         scans: 1,
                         decompressions: 0,
-                        rows: vec![3],
+                        rows: vec![3].into(),
                     },
                     RowsReply {
                         scans: 1,
                         decompressions: 0,
-                        rows: vec![],
+                        rows: vec![].into(),
                     },
                 ],
             },
@@ -1182,12 +1193,12 @@ mod tests {
                     RowsReply {
                         scans: 1,
                         decompressions: 0,
-                        rows: vec![],
+                        rows: vec![].into(),
                     },
                     RowsReply {
                         scans: 1,
                         decompressions: 0,
-                        rows: vec![0, 1],
+                        rows: vec![0, 1].into(),
                     },
                 ],
             },

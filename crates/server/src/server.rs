@@ -50,8 +50,8 @@ use bix_telemetry::{
 };
 
 use crate::protocol::{
-    read_frame, reply_fits, write_frame, ErrorCode, Frame, Message, Request, Response, RowsReply,
-    StatsFormat, FLAG_ALLOW_DEGRADED,
+    read_frame, reply_fits, write_frame, ErrorCode, Frame, Message, Request, Response, RowSet,
+    RowsReply, StatsFormat, WireError, FLAG_ALLOW_DEGRADED,
 };
 
 /// Tunables for [`Server::start`] / [`Server::serve`].
@@ -529,7 +529,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, queue_wait: Duration
         let started = Instant::now();
         let (frame, n_in) = match read_frame(&mut stream) {
             Ok(ok) => ok,
-            Err(crate::protocol::WireError::Io(_)) | Err(crate::protocol::WireError::Truncated) => {
+            Err(WireError::Io(_)) | Err(WireError::Truncated) => {
                 // Peer vanished or stalled mid-frame; nothing to say.
                 shared.metrics.bad_frames.inc();
                 return;
@@ -596,8 +596,24 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, queue_wait: Duration
             reply_frame.trace = frame.trace;
             reply_frame.spans = tracer.records();
         }
-        if let Ok(n) = write_frame(&mut stream, &reply_frame) {
-            shared.metrics.bytes_out.add(n as u64);
+        match write_frame(&mut stream, &reply_frame) {
+            Ok(n) => shared.metrics.bytes_out.add(n as u64),
+            // A traced reply whose spans push it past the frame cap
+            // (`reply_fits` does not count them): nothing was written,
+            // so answer typed, without the spans.
+            Err(WireError::Oversize(n)) => send(
+                &mut stream,
+                shared,
+                request_id,
+                Response::Error {
+                    code: ErrorCode::Internal,
+                    message: format!(
+                        "reply of {n} bytes with its trace spans exceeds the frame cap; \
+                         retry untraced or narrow the query"
+                    ),
+                },
+            ),
+            Err(_) => {}
         }
         shared
             .metrics
@@ -858,12 +874,7 @@ impl IndexHandler {
             self.metrics
                 .eval_nodes_compressed
                 .add(result.nodes_compressed as u64);
-            let rows: Vec<u64> = result
-                .bitmap
-                .to_positions()
-                .iter()
-                .map(|&p| p as u64)
-                .collect();
+            let rows = RowSet::from_words(result.bitmap.words());
             self.metrics.rows_returned.add(rows.len() as u64);
             replies.push(RowsReply {
                 scans: result.scans as u64,
@@ -1386,12 +1397,7 @@ impl ServeHandler for CatalogHandler {
                     {
                         return refusal;
                     }
-                    let rows: Vec<u64> = result
-                        .bitmap
-                        .to_positions()
-                        .iter()
-                        .map(|&p| p as u64)
-                        .collect();
+                    let rows = RowSet::from_words(result.bitmap.words());
                     self.metrics.rows_returned.add(rows.len() as u64);
                     Response::Rows(RowsReply {
                         scans: result.scans as u64,
@@ -1567,6 +1573,88 @@ mod tests {
         fn epoch(&self) -> u64 {
             42
         }
+    }
+
+    /// Answers every query with the largest list-layout row reply
+    /// [`reply_fits`] admits: any spans section pushes its frame past
+    /// the cap.
+    struct EdgeOfCapHandler {
+        registry: MetricsRegistry,
+    }
+
+    impl EdgeOfCapHandler {
+        /// Rows 1000 apart, so they travel as a list.
+        fn rows() -> RowSet {
+            let most = (u64::from(crate::protocol::MAX_PAYLOAD) - 8 - 25) / 8;
+            (0..most).map(|i| i * 1_000).collect()
+        }
+    }
+
+    impl ServeHandler for EdgeOfCapHandler {
+        fn handle(&self, request: Request, _meta: &RequestMeta) -> Response {
+            match request {
+                Request::Query { .. } => {
+                    let rows = Self::rows();
+                    if let Err(refusal) = reply_fits([rows.len() as u64], 0, "") {
+                        return refusal;
+                    }
+                    Response::Rows(RowsReply {
+                        scans: 1,
+                        decompressions: 0,
+                        rows,
+                    })
+                }
+                _ => Response::Pong,
+            }
+        }
+
+        fn registry(&self) -> &MetricsRegistry {
+            &self.registry
+        }
+    }
+
+    #[test]
+    fn traced_reply_over_the_cap_is_a_typed_error_not_a_dead_worker() {
+        assert!(reply_fits([EdgeOfCapHandler::rows().len() as u64], 0, "").is_ok());
+        let handler = Arc::new(EdgeOfCapHandler {
+            registry: MetricsRegistry::new(),
+        });
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::serve(handler, "127.0.0.1:0", config).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut query = Frame::new(
+            1,
+            Message::Request(Request::Query {
+                domain: EvalDomain::Auto,
+                deadline_ms: 0,
+                predicate: "=1".into(),
+            }),
+        );
+        query.trace = TraceContext {
+            trace_id: 7,
+            parent_span: 0,
+            sampled: true,
+        };
+        write_frame(&mut stream, &query).unwrap();
+        let (reply, _) = read_frame(&mut stream).unwrap();
+        assert_eq!(reply.request_id, 1);
+        assert!(reply.spans.is_empty(), "the refusal ships no spans");
+        match reply.msg {
+            Message::Response(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(message.contains("frame cap"), "{message}");
+            }
+            other => panic!("want a typed Internal, got {other:?}"),
+        }
+        // The only worker survived and serves the next request.
+        write_frame(&mut stream, &Frame::new(2, Message::Request(Request::Ping))).unwrap();
+        let (reply, _) = read_frame(&mut stream).unwrap();
+        assert_eq!(reply.request_id, 2);
+        assert_eq!(reply.msg, Message::Response(Response::Pong));
+        server.shutdown();
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn arb_rows() -> impl Strategy<Value = RowsReply> {
         .prop_map(|(scans, decompressions, rows)| RowsReply {
             scans,
             decompressions,
-            rows,
+            rows: rows.into(),
         })
 }
 
@@ -111,7 +111,7 @@ fn arb_ascending_reply() -> impl Strategy<Value = RowsReply> {
         RowsReply {
             scans,
             decompressions,
-            rows,
+            rows: rows.into(),
         }
     })
 }
