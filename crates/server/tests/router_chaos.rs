@@ -309,6 +309,7 @@ fn mid_stream_connection_death_is_retried_not_merged() {
     // treat the half-delivered reply as line noise and retry on a
     // fresh connection, not merge what it got.
     let dials = Arc::new(AtomicU64::new(0));
+    let dialled = Arc::clone(&dials);
     let dialer: bix_server::router::ShardDialer = Arc::new(move |shard, addr: &str| {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_millis(500)))?;
@@ -334,6 +335,11 @@ fn mid_stream_connection_death_is_retried_not_merged() {
         Response::BatchRows(replies) => assert_bit_identical(&replies, &oracle),
         other => panic!("mid-stream death must be survived by retry: {other:?}"),
     }
+    // Link reuse must not have skipped the faulted dial.
+    assert!(
+        dialled.load(Ordering::Relaxed) >= 2,
+        "shard 1's faulted dial 1 was never taken"
+    );
 
     for shard in shards {
         shard.shutdown();

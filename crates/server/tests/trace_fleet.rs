@@ -224,6 +224,7 @@ fn retry_attempts_appear_as_spans_under_fault_injection() {
     // (dial 0 is the router's startup shape probe); the retry must land
     // and the failed attempt must stay visible in the trace.
     let dials = Arc::new(AtomicU64::new(0));
+    let dialled = Arc::clone(&dials);
     let dialer: bix_server::router::ShardDialer = Arc::new(move |shard, addr: &str| {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_millis(500)))?;
@@ -266,6 +267,11 @@ fn retry_attempts_appear_as_spans_under_fault_injection() {
     assert!(
         matches!(response, Response::Rows(_)),
         "retry must recover the faulted leg: {response:?}"
+    );
+    // Link reuse must not have skipped the faulted dial.
+    assert!(
+        dialled.load(Ordering::Relaxed) >= 2,
+        "shard 1's faulted dial 1 was never taken"
     );
 
     let spans = tracer.records();
@@ -331,6 +337,7 @@ fn dial_errors_are_traced_attempts() {
     let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
 
     let dials = Arc::new(AtomicU64::new(0));
+    let dialled = Arc::clone(&dials);
     let dialer: bix_server::router::ShardDialer = Arc::new(move |shard, addr: &str| {
         if shard == 0 {
             let nth = dials.fetch_add(1, Ordering::Relaxed);
@@ -365,6 +372,11 @@ fn dial_errors_are_traced_attempts() {
     assert!(
         matches!(response, Response::Rows(_)),
         "dial-refused leg must recover: {response:?}"
+    );
+    // Link reuse must not have skipped the refused dial.
+    assert!(
+        dialled.load(Ordering::Relaxed) >= 2,
+        "shard 0's refused dial 1 was never taken"
     );
 
     let spans = tracer.records();
