@@ -94,11 +94,12 @@ impl ClientError {
     pub fn is_transient(&self) -> bool {
         match self {
             ClientError::Io(_) => true,
-            // A mangled or cut-short reply is line noise, not a server
-            // decision; the request itself may be perfectly fine.
-            ClientError::Wire(WireError::Truncated) | ClientError::Wire(WireError::CrcMismatch) => {
-                true
-            }
+            // A mangled, cut-short or missing reply is line noise, not
+            // a server decision; the request itself may be perfectly
+            // fine.
+            ClientError::Wire(
+                WireError::Truncated | WireError::Closed | WireError::CrcMismatch,
+            ) => true,
             ClientError::Wire(_) => false,
             ClientError::Server { code, .. } => matches!(code, ErrorCode::Overloaded),
             ClientError::Unexpected(_) => false,

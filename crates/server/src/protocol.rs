@@ -435,6 +435,10 @@ pub enum WireError {
     CrcMismatch,
     /// The buffer ended before the frame did.
     Truncated,
+    /// The stream ended before the first byte of a frame: the peer
+    /// closed the connection between frames, rather than cutting one
+    /// short ([`read_frame`] only).
+    Closed,
     /// The payload decoded but violated the frame's grammar.
     Malformed(&'static str),
     /// A string field was not valid UTF-8.
@@ -457,6 +461,7 @@ impl fmt::Display for WireError {
             WireError::Oversize(n) => write!(f, "payload of {n} bytes exceeds cap"),
             WireError::CrcMismatch => f.write_str("payload CRC mismatch"),
             WireError::Truncated => f.write_str("truncated frame"),
+            WireError::Closed => f.write_str("connection closed before a frame began"),
             WireError::Malformed(why) => write!(f, "malformed payload: {why}"),
             WireError::BadUtf8 => f.write_str("string field is not UTF-8"),
         }
@@ -1246,14 +1251,33 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<usize, WireError
     Ok(bytes.len())
 }
 
+/// `read_exact` for the frame header, telling a stream that ends
+/// before its first byte ([`WireError::Closed`]) from one that ends
+/// inside it ([`WireError::Truncated`]).
+fn read_header(r: &mut impl Read, header: &mut [u8; HEADER_LEN]) -> Result<(), WireError> {
+    let mut got = 0;
+    while got < HEADER_LEN {
+        match r.read(&mut header[got..]) {
+            Ok(0) if got == 0 => return Err(WireError::Closed),
+            Ok(0) => return Err(WireError::Truncated),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
+}
+
 /// Reads one frame from a transport, returning it with the bytes read.
 ///
 /// Header fields are validated before the payload allocation, so a
 /// hostile peer cannot force an oversized buffer; a CRC mismatch or
-/// grammar violation surfaces as a typed [`WireError`].
+/// grammar violation surfaces as a typed [`WireError`]. An end of
+/// stream before the first byte is [`WireError::Closed`]; anywhere
+/// later it is [`WireError::Truncated`].
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
     let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
+    read_header(r, &mut header)?;
     if header[0..2] != MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -1450,6 +1474,21 @@ mod tests {
             for cut in 0..bytes.len() {
                 assert!(decode_frame(&bytes[..cut]).is_err(), "cut at {cut}");
             }
+        }
+    }
+
+    #[test]
+    fn a_stream_read_tells_a_closed_connection_from_a_cut_frame() {
+        let bytes = encode_frame(&sample_frames()[0]);
+        assert!(matches!(
+            read_frame(&mut &bytes[..0]),
+            Err(WireError::Closed)
+        ));
+        for cut in 1..bytes.len() {
+            assert!(
+                matches!(read_frame(&mut &bytes[..cut]), Err(WireError::Truncated)),
+                "cut at {cut}"
+            );
         }
     }
 

@@ -45,7 +45,9 @@
 //!             [--queue-depth N] [--deadline-ms MS] [--retries N]
 //!             [--health-interval-ms MS] [--slow-ms MS]
 //!                                 # scatter-gather front-end over row-range
-//!                                 # shards (shard order = row order)
+//!                                 # shards (shard order = row order); keeps
+//!                                 # up to workers-1 links open per shard, so
+//!                                 # run one router per set of shards
 //! bix client  ping|query|table|batch|stats|slowlog|reload|shutdown|help
 //!             --addr HOST:PORT | --via-router HOST:PORT ...
 //!             # query  <predicate> [--eval-domain ...] [--deadline-ms MS]
@@ -1153,7 +1155,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn cmd_route(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: bix route --shards HOST:PORT,HOST:PORT[,...] \
          [--addr HOST:PORT] [--workers N] [--queue-depth N] [--deadline-ms MS] \
-         [--retries N] [--health-interval-ms MS] [--slow-ms MS]";
+         [--retries N] [--health-interval-ms MS] [--slow-ms MS]\n\
+         The router keeps up to (shard workers - 1) connections open to each \
+         shard, so run one router per set of shards: a second router could \
+         find every shard worker held.";
     let shards: Vec<String> = flag_value(args, "--shards")
         .ok_or(USAGE)?
         .split(',')
